@@ -16,6 +16,7 @@ Layers:
 * :mod:`nosignal.measurement` -- projectors, Born rule, collapse, sampling
 * :mod:`nosignal.audit` -- the end-to-end no-signalling audit
 * :mod:`nosignal.cli` -- ``nosignal audit|density|validate|calibrate``
+* :mod:`nosignal.tolerances` -- every numerical tolerance, in one table
 """
 
 from .modes import (

@@ -30,14 +30,15 @@ import numpy as np
 from .modes import ModeState, make_state
 from .optics import mz_output
 from .measurement import (
-    COMPLETENESS_TOL,
     IncompleteProjectorSetError,
     ProjectorSet,
+    count_outcomes,
     mode_projector,
     pair_partition,
     reduce,
     trial_uniforms,
 )
+from .tolerances import ANALYTIC_TOL, COMPLETENESS_TOL, REDUCTION_EPS
 from .wavepacket import (
     DetectorWindow,
     Grid,
@@ -51,9 +52,6 @@ from .wavepacket import (
 VARIANT_DENSITY = "shiekh-density"
 VARIANT_MACH_ZEHNDER = "mach-zehnder"
 VARIANTS = (VARIANT_DENSITY, VARIANT_MACH_ZEHNDER)
-
-#: Verdict threshold on the analytic receiver-probability deviation from 1/2.
-ANALYTIC_TOL = 1e-12
 
 RECEIVER_LABEL = "receiver"
 
@@ -72,12 +70,8 @@ class CompositeState:
     sender_state: ModeState | WaveFunction
 
     @property
-    def branch_norms(self) -> tuple[float, float]:
-        return abs(self.receiver_amplitude), abs(self.sender_amplitude)
-
-    @property
     def total_norm(self) -> float:
-        r, s = self.branch_norms
+        r, s = abs(self.receiver_amplitude), abs(self.sender_amplitude)
         return math.sqrt(r * r + s * s)
 
 
@@ -206,26 +200,10 @@ def receiver_probability_after_sender_measurement(
     labels, probs = composite_outcomes(state, sender_set)
     total = 0.0
     for label, p in zip(labels, probs):
-        if p < 1e-12:  # below the reduction threshold: cannot condition on it
+        if p < REDUCTION_EPS:  # cannot condition on it
             continue
         total += p * receiver_probability(reduce_composite(state, label, sender_set))
     return total
-
-
-def sample_composite(
-    state: CompositeState,
-    sender_set: ProjectorSet,
-    seed: int,
-    trials: int,
-    stream: int = 0,
-) -> dict[str, int]:
-    """Born-rule outcome counts for the global partition (seeded, counter-based)."""
-    labels, probs = composite_outcomes(state, sender_set)
-    cdf = np.cumsum(probs)
-    draws = trial_uniforms(seed, trials, stream)
-    indices = np.minimum(np.searchsorted(cdf, draws, side="right"), len(probs) - 1)
-    counts = np.bincount(indices, minlength=len(probs))
-    return {label: int(c) for label, c in zip(labels, counts)}
 
 
 @dataclass(frozen=True)
@@ -298,16 +276,14 @@ def no_signalling_audit(config: ScenarioConfig) -> AuditReport:
             for label, p in zip(sender_set.labels, branch_probs)
         }
         analytic = receiver_probability(state)
-        counts = sample_composite(
-            state, sender_set, config.seed, config.trials, stream=2 * index
-        )
-        empirical = counts[RECEIVER_LABEL] / config.trials
-        if abs(empirical - 0.5) > band:
-            counts = sample_composite(
-                state, sender_set, config.seed, config.trials, stream=2 * index + 1
-            )
-            empirical = counts[RECEIVER_LABEL] / config.trials
-        if abs(empirical - 0.5) > band:
+        labels, probs = composite_outcomes(state, sender_set)
+        receiver = labels.index(RECEIVER_LABEL)
+        for stream in (2 * index, 2 * index + 1):
+            draws = trial_uniforms(config.seed, config.trials, stream)
+            empirical = count_outcomes(probs, draws)[receiver] / config.trials
+            if abs(empirical - 0.5) <= band:
+                break
+        else:
             all_in_band = False
         rows.append(
             AuditRow(

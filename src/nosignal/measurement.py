@@ -1,10 +1,14 @@
 """Projective measurement with state reduction and seeded outcome sampling.
 
 Projectors target either detector windows on a grid (resolved to exact
-cell masks, so the Born rule over a partition is exactly additive) or
-subsets of mode labels.  Measuring collapses the state onto the observed
-projector's range and renormalizes; an outcome whose probability is below
-``REDUCTION_EPS`` cannot be conditioned on and raises instead.
+cell ranges, so the Born rule over a partition is exactly additive) or
+subsets of mode labels.  Either way the state is a complex vector with a
+weight per index (1 per mode, the cell width per grid cell), and the
+projector keeps some index ranges of it; :func:`_resolve` is the one place
+the two kinds of state are told apart.  Measuring collapses the state onto
+the observed projector's range and renormalizes; an outcome whose
+probability is below ``REDUCTION_EPS`` cannot be conditioned on and raises
+instead.
 
 Sampling is inverse-CDF with one uniform draw per trial.  The uniforms
 come from a counter-based generator keyed by ``(seed, stream)``: trial
@@ -16,27 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
+from functools import partial
 
 import numpy as np
 
-from .modes import ModeState, make_state
-from .wavepacket import (
-    DetectorWindow,
-    Grid,
-    WaveFunction,
-    window_cells,
-    window_probability,
-)
-
-#: Outcomes with probability below this cannot be reduced onto.
-REDUCTION_EPS = 1e-12
-
-#: A projector set whose probabilities sum below 1 - this is incomplete.
-COMPLETENESS_TOL = 1e-6
-
-#: Input states must be normalized to this working tolerance.
-STATE_NORM_TOL = 1e-6
+from .modes import ModeState
+from .tolerances import COMPLETENESS_TOL, NORM_TOL, REDUCTION_EPS
+from .wavepacket import DetectorWindow, Grid, WaveFunction, window_cells
 
 
 class ProjectorDomainError(ValueError):
@@ -89,45 +79,40 @@ def mode_projector(label: str, *modes: str) -> Projector:
     return Projector(label, modes=frozenset(modes))
 
 
-def _check_normalized(state: ModeState | WaveFunction) -> None:
-    if isinstance(state, ModeState):
-        norm = float(np.linalg.norm(state.amplitudes))
-    else:
-        norm = math.sqrt(
-            state.grid.spacing * float(np.sum(np.abs(state.samples) ** 2))
-        )
-    if abs(norm - 1.0) > STATE_NORM_TOL:
-        raise ValueError(f"state is not normalized (norm {norm:.9f})")
+def _resolve(state: ModeState | WaveFunction, projector: Projector):
+    """``(amplitudes, weight, ranges, rebuild)`` of a state under a projector.
 
-
-def _cell_mask(grid: Grid, projector: Projector) -> np.ndarray:
-    mask = np.zeros(grid.n_points, dtype=bool)
-    for window in projector.windows:
-        i_lo, i_hi = window_cells(grid, window)
-        if mask[i_lo:i_hi].any():
-            raise ValueError("projector windows overlap after cell snapping")
-        mask[i_lo:i_hi] = True
-    return mask
+    ``amplitudes`` is the state's vector and ``weight`` the measure of one of
+    its indices: 1 per mode, the spacing ``h`` per grid cell.  ``ranges`` are
+    the ``[lo, hi)`` index ranges the projector keeps, one per mode in label
+    order or one per window in window order; Born sums run in that order.
+    ``rebuild`` makes a state of the same kind from a new vector.
+    """
+    if isinstance(state, WaveFunction) and projector.windows is not None:
+        ranges = [window_cells(state.grid, w) for w in projector.windows]
+        rebuild = partial(WaveFunction, state.grid)
+        return state.samples, state.grid.spacing, ranges, rebuild
+    if isinstance(state, ModeState) and projector.modes is not None:
+        labels = state.labels
+        ranges = [(i, i + 1) for i, label in enumerate(labels) if label in projector.modes]
+        return state.amplitudes, 1.0, ranges, partial(ModeState, labels)
+    kind = "mode" if projector.windows is None else "window"
+    raise ProjectorDomainError(f"{kind} projector applied to a {type(state).__name__}")
 
 
 def probability(state: ModeState | WaveFunction, projector: Projector) -> float:
-    """Born probability ``<psi|P|psi>`` of the projector's outcome."""
-    _check_normalized(state)
-    if isinstance(state, WaveFunction):
-        if projector.windows is None:
-            raise ProjectorDomainError("mode projector applied to a wavefunction")
-        return float(
-            sum(window_probability(state, w) for w in projector.windows)
-        )
-    if projector.modes is None:
-        raise ProjectorDomainError("window projector applied to a mode state")
-    return float(
-        sum(
-            abs(a) ** 2
-            for label, a in zip(state.labels, state.amplitudes)
-            if label in projector.modes
-        )
-    )
+    """Born probability ``<psi|P|psi>`` of the projector's outcome.
+
+    Rejects a state whose norm is more than ``NORM_TOL`` away from 1.
+    """
+    _, weight, ranges, _ = _resolve(state, projector)
+    # each kind squares its amplitudes its own way (per mode in Python, per
+    # cell in numpy); one shared formula would move the last bit of reports
+    density = state.density()
+    norm = math.sqrt(weight * float(np.sum(density)))
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"state is not normalized (norm {norm:.9f})")
+    return float(sum(weight * np.sum(density[lo:hi]) for lo, hi in ranges))
 
 
 def reduce(state: ModeState | WaveFunction, projector: Projector):
@@ -137,16 +122,12 @@ def reduce(state: ModeState | WaveFunction, projector: Projector):
         raise ZeroNormReductionError(
             f"outcome {projector.label!r} has probability {p:.3e} < {REDUCTION_EPS}"
         )
+    amplitudes, _, ranges, rebuild = _resolve(state, projector)
     scale = 1.0 / math.sqrt(p)
-    if isinstance(state, WaveFunction):
-        mask = _cell_mask(state.grid, projector)
-        return WaveFunction(state.grid, state.samples * mask * scale)
-    kept = [
-        (label, complex(a) * scale)
-        for label, a in zip(state.labels, state.amplitudes)
-        if label in projector.modes
-    ]
-    return make_state(kept)
+    collapsed = np.zeros_like(amplitudes)
+    for lo, hi in ranges:
+        collapsed[lo:hi] = amplitudes[lo:hi] * scale
+    return rebuild(collapsed)
 
 
 @dataclass(frozen=True)
@@ -172,8 +153,11 @@ class ProjectorSet:
         return tuple(p.label for p in self.projectors)
 
     def probabilities(self, state) -> np.ndarray:
-        """Per-outcome Born probabilities; raises if the set is incomplete."""
-        self._check_orthogonal(state)
+        """Per-outcome Born probabilities; raises if outcomes overlap or miss."""
+        ranges = [r for p in self.projectors for r in _resolve(state, p)[2]]
+        spans = sorted((lo, hi) for lo, hi in ranges if lo < hi)
+        if any(lo < hi for (_, hi), (lo, _) in zip(spans, spans[1:])):
+            raise ValueError("projectors overlap between outcomes")
         probs = np.array([probability(state, p) for p in self.projectors])
         if probs.sum() < 1.0 - COMPLETENESS_TOL:
             raise IncompleteProjectorSetError(
@@ -181,25 +165,6 @@ class ProjectorSet:
                 "the projector set does not cover the state"
             )
         return probs
-
-    def _check_orthogonal(self, state) -> None:
-        first = self.projectors[0]
-        if isinstance(state, WaveFunction) and first.windows is not None:
-            covered = np.zeros(state.grid.n_points, dtype=int)
-            for p in self.projectors:
-                covered += _cell_mask(state.grid, p)
-            if np.any(covered > 1):
-                raise ValueError("projector windows overlap between outcomes")
-        elif isinstance(state, ModeState) and first.modes is not None:
-            seen: set[str] = set()
-            for p in self.projectors:
-                if seen & p.modes:
-                    raise ValueError("projector mode subsets overlap")
-                seen |= p.modes
-        else:
-            raise ProjectorDomainError(
-                "projector set target does not match the state type"
-            )
 
 
 @dataclass(frozen=True)
@@ -296,6 +261,18 @@ def trial_uniform(seed: int, trial: int, stream: int = 0) -> float:
     return float(gen.random(trial % 4 + 1)[-1])
 
 
+def count_outcomes(probs, draws) -> list[int]:
+    """Inverse-CDF sampling: how many of the uniform ``draws`` pick each outcome.
+
+    Draw ``u`` picks the first outcome whose cumulative probability exceeds
+    ``u``; rounding that leaves the last CDF entry below 1 sends the rest to
+    the last outcome.
+    """
+    cdf = np.cumsum(probs)
+    indices = np.minimum(np.searchsorted(cdf, draws, side="right"), len(probs) - 1)
+    return np.bincount(indices, minlength=len(probs)).tolist()
+
+
 def measure(
     state, projector_set: ProjectorSet, seed: int, trial: int = 0
 ) -> tuple[str, ModeState | WaveFunction]:
@@ -305,10 +282,8 @@ def measure(
     ``(state, projector_set, seed, trial)``.
     """
     probs = projector_set.probabilities(state)
-    cdf = np.cumsum(probs)
-    u = trial_uniform(seed, trial)
-    index = min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
-    chosen = projector_set.projectors[index]
+    counts = count_outcomes(probs, [trial_uniform(seed, trial)])
+    chosen = projector_set.projectors[counts.index(1)]
     return chosen.label, reduce(state, chosen)
 
 
@@ -321,13 +296,8 @@ def sample_outcomes(
     ``trial=i``, so batched and one-at-a-time sampling agree exactly.
     """
     probs = projector_set.probabilities(state)
-    cdf = np.cumsum(probs)
-    draws = trial_uniforms(seed, n_trials, stream)
-    indices = np.minimum(
-        np.searchsorted(cdf, draws, side="right"), len(probs) - 1
-    )
-    counts = np.bincount(indices, minlength=len(probs))
-    return {label: int(c) for label, c in zip(projector_set.labels, counts)}
+    counts = count_outcomes(probs, trial_uniforms(seed, n_trials, stream))
+    return dict(zip(projector_set.labels, counts))
 
 
 def sampling_record(

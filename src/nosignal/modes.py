@@ -13,8 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: A state counts as normalized when its norm is within this of 1.
-NORMALIZATION_TOL = 1e-12
+from .tolerances import NORMALIZATION_TOL
 
 
 class DuplicateModeError(ValueError):
@@ -68,8 +67,9 @@ class ModeState:
         except ValueError:
             return 0j
 
-    def as_dict(self) -> dict[str, complex]:
-        return {label: complex(a) for label, a in zip(self.labels, self.amplitudes)}
+    def density(self) -> np.ndarray:
+        """Detection probability ``|a_m|^2`` of each mode, in label order."""
+        return np.array([abs(a) ** 2 for a in self.amplitudes])
 
     def to_json_dict(self) -> dict:
         """Serialize as ``{"modes": [{"label", "re", "im"}, ...]}``."""

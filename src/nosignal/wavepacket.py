@@ -31,11 +31,7 @@ from importlib import resources
 
 import numpy as np
 
-#: Quadrature-level tolerance: normalized wavefunctions satisfy it.
-NORM_TOL = 1e-8
-
-#: Maximum probability mass a packet may have outside the grid.
-TRUNCATION_TOL = 1e-6
+from .tolerances import NORM_TOL, TRUNCATION_TOL
 
 #: Raw-Gaussian overlaps above this make the orthogonalization ill-conditioned.
 MAX_OVERLAP = 0.999
@@ -390,8 +386,3 @@ def default_calibration(sigma: float = 1.0) -> CalibrationResult:
         p_in_destructive=data["p_in_destructive"],
         sigma=sigma,
     )
-
-
-def density_table(pair: PacketPair, phases: tuple[float, ...] = (0.0, math.pi)) -> dict:
-    """Densities of the recombined state at each phase, keyed by phase."""
-    return {phi: recombine(pair, phi).density() for phi in phases}

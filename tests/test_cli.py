@@ -78,6 +78,30 @@ class TestAuditCommand:
         header = out.read_text().splitlines()[0]
         assert header.startswith("phi,")
         assert "receiver_analytic" in header
+        # every data cell is a plain number, and each row is the JSON row
+        for variant in ("mach-zehnder", "shiekh-density"):
+            args = (
+                "audit", "--variant", variant, "--phi-sweep", "4",
+                "--trials", "500", "--seed", "13",
+            )
+            csv_out, json_out = tmp_path / "cross.csv", tmp_path / "cross.json"
+            assert run_cli(*args, "--format", "csv", "--out", str(csv_out)).returncode == 0
+            assert run_cli(*args, "--out", str(json_out)).returncode == 0
+            header, *lines = csv_out.read_text().splitlines()
+            columns = header.split(",")
+            rows = json.loads(json_out.read_text())["rows"]
+            assert len(lines) == len(rows)
+            for line, row in zip(lines, rows):
+                cells = dict(zip(columns, line.split(",")))
+                parsed = {k: float(v) for k, v in cells.items() if k != "trials"}
+                expected = {
+                    "phi": row["phi"],
+                    **{f"sender_{k}": v for k, v in row["sender"].items()},
+                    "receiver_analytic": row["receiver_analytic"],
+                    "receiver_empirical": row["receiver_empirical"],
+                }
+                assert parsed == expected
+                assert int(cells["trials"]) == row["trials"]
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "run.json"

@@ -25,6 +25,7 @@ from nosignal.measurement import (
 from nosignal.modes import make_state
 from nosignal.wavepacket import (
     DetectorWindow,
+    WaveFunction,
     default_calibration,
     default_grid,
     gaussian,
@@ -89,6 +90,23 @@ class TestProbability:
                 make_state([("u", 1.0)]),
                 window_projector("w", DetectorWindow(-1.0, 1.0)),
             )
+
+    def test_input_gate_holds_both_kinds_to_one_tolerance(self, grid):
+        # a wavefunction whose norm is off by 2e-8 and a mode state off by
+        # 2e-7 are both rejected; states well inside the gate are accepted
+        psi = gaussian(grid, 0.0, 1.0)
+        window = window_projector("in", DetectorWindow(-1.0, 1.0))
+        modes = [("u", INV_SQRT2), ("l", INV_SQRT2)]
+        u = mode_projector("u", "u")
+        for scale, accepted in ((1 + 2e-8, False), (1 + 2e-7, False), (1 + 1e-9, True)):
+            stretched = WaveFunction(grid, psi.samples * scale)
+            state = make_state([(label, a * scale) for label, a in modes])
+            for candidate, projector in ((stretched, window), (state, u)):
+                if accepted:
+                    probability(candidate, projector)
+                else:
+                    with pytest.raises(ValueError, match="not normalized"):
+                        probability(candidate, projector)
 
     def test_projector_needs_exactly_one_target(self):
         with pytest.raises(ValueError):
