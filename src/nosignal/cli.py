@@ -250,7 +250,7 @@ def cmd_validate(args) -> int:
     try:
         circuit = optics.circuit_from_json(text)
         report = optics.validate_circuit(circuit)
-    except (ValueError, KeyError, optics.WiringError) as exc:
+    except ValueError as exc:  # WiringError and bad settings included
         print(f"error: malformed circuit: {exc}", file=sys.stderr)
         return USAGE_ERROR
     _write_output(args.out, _json_text(report.to_json_dict()))
@@ -284,8 +284,6 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
-        p.add_argument("--format", default=None, help="output format: json or csv")
         p.add_argument("--config", default=None, help="JSON config file; flags override")
 
     p_audit = sub.add_parser("audit", help="run the no-signalling audit")
@@ -293,6 +291,8 @@ def build_parser() -> _Parser:
     p_audit.add_argument("--phi-sweep", dest="phi_sweep", type=int, default=None)
     p_audit.add_argument("--trials", type=int, default=None)
     p_audit.add_argument("--sigma", type=float, default=None)
+    p_audit.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
+    p_audit.add_argument("--format", default=None, help="output format: json or csv")
     common(p_audit)
     p_audit.set_defaults(func=cmd_audit)
 
@@ -304,6 +304,7 @@ def build_parser() -> _Parser:
     p_density.add_argument("--points", type=int, default=None)
     p_density.add_argument("--separation", type=float, default=None)
     p_density.add_argument("--halfwidth", type=float, default=None)
+    p_density.add_argument("--format", default=None, help="output format: csv or json")
     p_density.add_argument(
         "--verify", action="store_true", help="check normalization, echo window probabilities"
     )
@@ -312,7 +313,7 @@ def build_parser() -> _Parser:
 
     p_validate = sub.add_parser("validate", help="isometry-validate a circuit file")
     p_validate.add_argument("--circuit", required=True, help="path or bundled name")
-    common(p_validate)
+    p_validate.add_argument("--out", default=None, help="output path (default: stdout)")
     p_validate.set_defaults(func=cmd_validate)
 
     p_cal = sub.add_parser("calibrate", help="scan detector geometry for contrast")

@@ -100,29 +100,38 @@ def _resolve(state: ModeState | WaveFunction, projector: Projector):
     raise ProjectorDomainError(f"{kind} projector applied to a {type(state).__name__}")
 
 
-def probability(state: ModeState | WaveFunction, projector: Projector) -> float:
-    """Born probability ``<psi|P|psi>`` of the projector's outcome.
-
-    Rejects a state whose norm is more than ``NORM_TOL`` away from 1.
-    """
-    _, weight, ranges, _ = _resolve(state, projector)
+def _born(state: ModeState | WaveFunction, resolved: list) -> list[float]:
+    """Born probability per :func:`_resolve` result for ``state``; one density, one gate."""
+    weight = resolved[0][1]
     # each kind squares its amplitudes its own way (per mode in Python, per
     # cell in numpy); one shared formula would move the last bit of reports
     density = state.density()
     norm = math.sqrt(weight * float(np.sum(density)))
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized (norm {norm:.9f})")
-    return float(sum(weight * np.sum(density[lo:hi]) for lo, hi in ranges))
+    return [
+        float(sum(weight * np.sum(density[lo:hi]) for lo, hi in ranges))
+        for _, _, ranges, _ in resolved
+    ]
+
+
+def probability(state: ModeState | WaveFunction, projector: Projector) -> float:
+    """Born probability ``<psi|P|psi>`` of the projector's outcome.
+
+    Rejects a state whose norm is more than ``NORM_TOL`` away from 1.
+    """
+    return _born(state, [_resolve(state, projector)])[0]
 
 
 def reduce(state: ModeState | WaveFunction, projector: Projector):
     """Collapse: ``P|psi> / ||P|psi>||``, an eigenstate of ``P`` afterwards."""
-    p = probability(state, projector)
+    resolved = _resolve(state, projector)
+    p = _born(state, [resolved])[0]
     if p < REDUCTION_EPS:
         raise ZeroNormReductionError(
             f"outcome {projector.label!r} has probability {p:.3e} < {REDUCTION_EPS}"
         )
-    amplitudes, _, ranges, rebuild = _resolve(state, projector)
+    amplitudes, _, ranges, rebuild = resolved
     scale = 1.0 / math.sqrt(p)
     collapsed = np.zeros_like(amplitudes)
     for lo, hi in ranges:
@@ -154,11 +163,12 @@ class ProjectorSet:
 
     def probabilities(self, state) -> np.ndarray:
         """Per-outcome Born probabilities; raises if outcomes overlap or miss."""
-        ranges = [r for p in self.projectors for r in _resolve(state, p)[2]]
+        resolved = [_resolve(state, p) for p in self.projectors]
+        ranges = [r for _, _, kept, _ in resolved for r in kept]
         spans = sorted((lo, hi) for lo, hi in ranges if lo < hi)
         if any(lo < hi for (_, hi), (lo, _) in zip(spans, spans[1:])):
             raise ValueError("projectors overlap between outcomes")
-        probs = np.array([probability(state, p) for p in self.projectors])
+        probs = np.array(_born(state, resolved))
         if probs.sum() < 1.0 - COMPLETENESS_TOL:
             raise IncompleteProjectorSetError(
                 f"outcome probabilities sum to {probs.sum():.9f} < 1; "

@@ -22,9 +22,11 @@ computed in this package.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Sequence
 
@@ -83,32 +85,81 @@ class TransferMatrix:
         object.__setattr__(self, "entries", entries)
 
 
+def _finite(name: str, value) -> float:
+    """A setting's value as a float; anything but a finite number is rejected."""
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (numeric and abs(value) <= sys.float_info.max):
+        raise ValueError(f"setting {name!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _splitter(theta: float) -> np.ndarray:
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, s], [s, -c]], dtype=np.complex128)
+
+
+def _custom(rows) -> np.ndarray:
+    try:
+        pairs = np.array(rows)
+    except ValueError:  # ragged rows
+        pairs = np.empty(0, dtype=object)
+    real = np.issubdtype(pairs.dtype, np.integer) or np.issubdtype(pairs.dtype, np.floating)
+    if not (real and pairs.ndim == 3 and pairs.shape[2] == 2 and np.all(np.isfinite(pairs))):
+        raise ValueError("setting 'matrix' must be rows of finite [re, im] pairs")
+    return pairs.astype(np.float64).view(np.complex128)[..., 0]
+
+
+#: Device kinds: ``(params, number of inputs) -> matrix entries``.  A wiring
+#: of the wrong arity gives a shape that ``TransferMatrix`` rejects.
+_DEVICES = {
+    "beam_splitter": lambda p, n: _splitter(_finite("theta", p.get("theta", _BALANCED_ANGLE))),
+    "mirror": lambda p, n: np.eye(n, dtype=np.complex128),
+    "deflector": lambda p, n: np.eye(n, dtype=np.complex128),
+    "phase_shifter": lambda p, n: np.array([[np.exp(1j * _finite("phi", p.get("phi")))]]),
+    "canceller": lambda p, n: (
+        np.array([[1.0, np.exp(1j * _finite("phi", p.get("phi", 0.0)))]]) / math.sqrt(2)
+    ),
+    "custom": lambda p, n: _custom(p.get("matrix")),
+}
+
+
 @dataclass(frozen=True)
 class Element:
     """One optical device with its wiring.
 
-    ``kind`` is one of ``beam_splitter``, ``mirror``, ``phase_shifter``,
-    ``deflector``, ``canceller`` or ``custom``.  ``angle`` holds the mixing
-    angle of a beam splitter or the phase of a shifter/canceller; ``matrix``
-    holds explicit entries for ``custom`` elements.
+    ``kind`` is one of ``beam_splitter`` (setting ``theta``, default pi/4),
+    ``mirror``, ``deflector``, ``phase_shifter`` (``phi``), ``canceller``
+    (``phi``, default 0) or ``custom`` (``matrix``, rows of ``[re, im]``
+    pairs).  ``params`` holds those settings as a circuit file's ``params``
+    object does, copied at construction.  The transfer matrix is built once,
+    here, so a bad kind, setting or wiring arity fails on creation.
     """
 
     kind: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    angle: float | None = None
-    matrix: tuple[tuple[complex, ...], ...] | None = field(default=None, repr=False)
+    params: dict = field(default_factory=dict)
+    transfer: TransferMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        build = _DEVICES.get(self.kind) if isinstance(self.kind, str) else None
+        if build is None:
+            raise ValueError(f"unknown element kind: {self.kind!r}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"{self.kind} params must be an object, got {self.params!r}")
         object.__setattr__(self, "inputs", check_labels(self.inputs))
         object.__setattr__(self, "outputs", check_labels(self.outputs))
+        object.__setattr__(self, "params", copy.deepcopy(self.params))
+        entries = build(self.params, len(self.inputs))
+        transfer = TransferMatrix(self.inputs, self.outputs, entries)
+        object.__setattr__(self, "transfer", transfer)
 
 
 def beam_splitter(
     inputs: tuple[str, str], outputs: tuple[str, str], theta: float = _BALANCED_ANGLE
 ) -> Element:
     """Two-port splitter with mixing angle ``theta``; pi/4 gives the balanced one."""
-    return Element("beam_splitter", tuple(inputs), tuple(outputs), angle=float(theta))
+    return Element("beam_splitter", tuple(inputs), tuple(outputs), {"theta": float(theta)})
 
 
 def mirror(mode: str) -> Element:
@@ -123,7 +174,7 @@ def deflector(mode: str) -> Element:
 
 def phase_shifter(mode: str, phi: float) -> Element:
     """Multiplies one mode amplitude by ``exp(i*phi)``."""
-    return Element("phase_shifter", (mode,), (mode,), angle=float(phi))
+    return Element("phase_shifter", (mode,), (mode,), {"phi": float(phi)})
 
 
 def hypothetical_canceller(
@@ -135,7 +186,7 @@ def hypothetical_canceller(
     choice could make them vanish.  No lossless device can do this; the
     element exists so tests can exhibit the contradiction.
     """
-    return Element("canceller", tuple(inputs), (output,), angle=float(phi))
+    return Element("canceller", tuple(inputs), (output,), {"phi": float(phi)})
 
 
 def custom_element(
@@ -144,49 +195,24 @@ def custom_element(
     outputs: Sequence[str],
 ) -> Element:
     """Element with explicit transfer-matrix entries (used for diagnostics)."""
-    rows = tuple(tuple(complex(x) for x in row) for row in matrix)
-    return Element("custom", tuple(inputs), tuple(outputs), matrix=rows)
+    rows = [[[z.real, z.imag] for z in map(complex, row)] for row in matrix]
+    return Element("custom", tuple(inputs), tuple(outputs), {"matrix": rows})
 
 
 def matrix_of(element: Element) -> TransferMatrix:
     """Transfer matrix of a single element."""
-    kind = element.kind
-    if kind == "beam_splitter":
-        if len(element.inputs) != 2 or len(element.outputs) != 2:
-            raise ValueError("beam splitter wires two inputs to two outputs")
-        c, s = math.cos(element.angle), math.sin(element.angle)
-        entries = np.array([[c, s], [s, -c]], dtype=np.complex128)
-    elif kind in ("mirror", "deflector"):
-        entries = np.eye(len(element.inputs), dtype=np.complex128)
-    elif kind == "phase_shifter":
-        entries = np.array([[np.exp(1j * element.angle)]])
-    elif kind == "canceller":
-        if len(element.inputs) != 2 or len(element.outputs) != 1:
-            raise ValueError("canceller merges two inputs into one output")
-        entries = np.array([[1.0, np.exp(1j * element.angle)]]) / math.sqrt(2)
-    elif kind == "custom":
-        if element.matrix is None:
-            raise ValueError("custom element requires explicit matrix entries")
-        entries = np.array(element.matrix, dtype=np.complex128)
-    else:
-        raise ValueError(f"unknown element kind: {kind!r}")
-    return TransferMatrix(element.inputs, element.outputs, entries)
+    return element.transfer
 
 
-def is_isometry(
-    matrix: TransferMatrix | np.ndarray, tol: float = ISOMETRY_TOL
-) -> tuple[bool, float]:
+def is_isometry(matrix: TransferMatrix) -> tuple[bool, float]:
     """Check ``M^dag M = I`` on the input modes.
 
     Returns ``(flag, deviation)`` where ``deviation`` is the max-entry
-    magnitude of ``M^dag M - I`` and ``flag`` is ``deviation <= tol``.
+    magnitude of ``M^dag M - I`` and ``flag`` is ``deviation <= ISOMETRY_TOL``.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    entries = matrix.entries if isinstance(matrix, TransferMatrix) else np.asarray(matrix)
-    gram = entries.conj().T @ entries
+    gram = matrix.entries.conj().T @ matrix.entries
     deviation = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-    return deviation <= tol, deviation
+    return deviation <= ISOMETRY_TOL, deviation
 
 
 @dataclass(frozen=True)
@@ -204,17 +230,7 @@ class ValidationReport:
     failures: tuple[ElementFailure, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "physical": self.physical,
-            "failures": [
-                {
-                    "element_index": f.element_index,
-                    "deviation": f.deviation,
-                    "reason": f.reason,
-                }
-                for f in self.failures
-            ],
-        }
+        return {"physical": self.physical, "failures": [asdict(f) for f in self.failures]}
 
 
 @dataclass(frozen=True)
@@ -229,41 +245,41 @@ class Circuit:
         object.__setattr__(self, "input_modes", check_labels(self.input_modes))
 
 
-def _advance_live(
-    live: tuple[str, ...], element: Element, index: int
-) -> tuple[str, ...]:
-    """Mode set after ``element`` consumes its inputs and emits its outputs."""
-    missing = [m for m in element.inputs if m not in live]
-    if missing:
-        raise WiringError(
-            f"element {index} ({element.kind}) consumes {missing} which the "
-            f"preceding elements do not provide (live modes: {list(live)})"
-        )
-    consumed = set(element.inputs)
-    passthrough = set(live) - consumed
-    clash = [m for m in element.outputs if m in passthrough]
-    if clash:
-        raise WiringError(
-            f"element {index} ({element.kind}) emits {clash} which would "
-            "collide with modes passing through it"
-        )
-    out: list[str] = []
-    emitted = False
-    for mode in live:
-        if mode in consumed:
-            if not emitted:
-                out.extend(element.outputs)
-                emitted = True
-        else:
-            out.append(mode)
-    return tuple(out)
+def _walk(circuit: Circuit):
+    """``(index, element, live, next_live)`` per element; raises WiringError on mismatch."""
+    live = circuit.input_modes
+    for index, element in enumerate(circuit.elements):
+        missing = [m for m in element.inputs if m not in live]
+        if missing:
+            raise WiringError(
+                f"element {index} ({element.kind}) consumes {missing} which the "
+                f"preceding elements do not provide (live modes: {list(live)})"
+            )
+        consumed = set(element.inputs)
+        passthrough = set(live) - consumed
+        clash = [m for m in element.outputs if m in passthrough]
+        if clash:
+            raise WiringError(
+                f"element {index} ({element.kind}) emits {clash} which would "
+                "collide with modes passing through it"
+            )
+        out: list[str] = []
+        emitted = False
+        for mode in live:
+            if mode in consumed:
+                if not emitted:
+                    out.extend(element.outputs)
+                    emitted = True
+            else:
+                out.append(mode)
+        yield index, element, live, tuple(out)
+        live = tuple(out)
 
 
 def _embedded_matrix(
     live: tuple[str, ...], nxt: tuple[str, ...], element: Element
 ) -> np.ndarray:
     """Element matrix extended by the identity on untouched live modes."""
-    tm = matrix_of(element)
     emb = np.zeros((len(nxt), len(live)), dtype=np.complex128)
     wired = set(element.outputs)
     for row, mode in enumerate(nxt):
@@ -272,18 +288,24 @@ def _embedded_matrix(
     for row_local, out_mode in enumerate(element.outputs):
         row = nxt.index(out_mode)
         for col_local, in_mode in enumerate(element.inputs):
-            emb[row, live.index(in_mode)] = tm.entries[row_local, col_local]
+            emb[row, live.index(in_mode)] = element.transfer.entries[row_local, col_local]
     return emb
 
 
-def mode_sequence(circuit: Circuit) -> list[tuple[str, ...]]:
-    """Live-mode tuples before/after each element; raises WiringError on mismatch."""
-    live = circuit.input_modes
-    seq = [live]
-    for index, element in enumerate(circuit.elements):
-        live = _advance_live(live, element, index)
-        seq.append(live)
-    return seq
+def _report(steps) -> ValidationReport:
+    """Isometry check of each element that :func:`_walk` yielded."""
+    failures = []
+    for index, element, _, _ in steps:
+        ok, deviation = is_isometry(element.transfer)
+        if ok:
+            continue
+        singulars = np.linalg.svd(element.transfer.entries, compute_uv=False)
+        if np.all(singulars <= 1.0 + ISOMETRY_TOL) and np.min(singulars) < 1.0 - ISOMETRY_TOL:
+            reason = "partial attenuation"
+        else:
+            reason = "not an isometry"
+        failures.append(ElementFailure(index, deviation, reason))
+    return ValidationReport(physical=not failures, failures=tuple(failures))
 
 
 def validate_circuit(circuit: Circuit) -> ValidationReport:
@@ -294,29 +316,16 @@ def validate_circuit(circuit: Circuit) -> ValidationReport:
     forbidden, since a lossless device must move probability to the
     complement of a region, never swallow it.
     """
-    mode_sequence(circuit)  # raises WiringError on bad wiring
-    failures = []
-    for index, element in enumerate(circuit.elements):
-        tm = matrix_of(element)
-        ok, deviation = is_isometry(tm)
-        if ok:
-            continue
-        singulars = np.linalg.svd(tm.entries, compute_uv=False)
-        if np.all(singulars <= 1.0 + ISOMETRY_TOL) and np.min(singulars) < 1.0 - ISOMETRY_TOL:
-            reason = "partial attenuation"
-        else:
-            reason = "not an isometry"
-        failures.append(ElementFailure(index, deviation, reason))
-    return ValidationReport(physical=not failures, failures=tuple(failures))
+    return _report(_walk(circuit))
 
 
 def circuit_matrix(circuit: Circuit) -> TransferMatrix:
     """Product of the embedded element matrices, wiring order respected."""
-    seq = mode_sequence(circuit)
     total = np.eye(len(circuit.input_modes), dtype=np.complex128)
-    for index, element in enumerate(circuit.elements):
-        total = _embedded_matrix(seq[index], seq[index + 1], element) @ total
-    return TransferMatrix(circuit.input_modes, seq[-1], total)
+    live = circuit.input_modes
+    for _, element, before, live in _walk(circuit):
+        total = _embedded_matrix(before, live, element) @ total
+    return TransferMatrix(circuit.input_modes, live, total)
 
 
 def apply(circuit: Circuit, state: ModeState, allow_nonphysical: bool = False) -> ModeState:
@@ -326,7 +335,8 @@ def apply(circuit: Circuit, state: ModeState, allow_nonphysical: bool = False) -
     opt-in exists so the canceller's absurd consequence (a vanishing state)
     can be produced on purpose.
     """
-    report = validate_circuit(circuit)
+    steps = list(_walk(circuit))
+    report = _report(steps)
     if not report.physical and not allow_nonphysical:
         raise NonPhysicalCircuitError(report)
     unknown = [m for m in state.labels if m not in circuit.input_modes]
@@ -334,10 +344,8 @@ def apply(circuit: Circuit, state: ModeState, allow_nonphysical: bool = False) -
         raise WiringError(f"state uses modes {unknown} outside the circuit inputs")
     live = circuit.input_modes
     vec = np.array([state.amplitude(m) for m in live], dtype=np.complex128)
-    for index, element in enumerate(circuit.elements):
-        nxt = _advance_live(live, element, index)
-        vec = _embedded_matrix(live, nxt, element) @ vec
-        live = nxt
+    for _, element, before, live in steps:
+        vec = _embedded_matrix(before, live, element) @ vec
     return ModeState(live, vec)
 
 
@@ -414,44 +422,20 @@ def canceller_circuit(phi: float = PHASE_ON) -> Circuit:
 # ---------------------------------------------------------------------------
 
 def element_to_json_dict(element: Element) -> dict:
-    params: dict = {}
-    if element.kind == "beam_splitter":
-        params["theta"] = element.angle
-    elif element.kind in ("phase_shifter", "canceller"):
-        params["phi"] = element.angle
-    elif element.kind == "custom":
-        params["matrix"] = [
-            [[x.real, x.imag] for x in row] for row in element.matrix
-        ]
     return {
         "kind": element.kind,
-        "params": params,
+        "params": copy.deepcopy(element.params),
         "in": list(element.inputs),
         "out": list(element.outputs),
     }
 
 
 def element_from_json_dict(data: dict) -> Element:
-    kind = data["kind"]
+    ok = isinstance(data, dict) and all(isinstance(data.get(k), list) for k in ("in", "out"))
+    if not ok:
+        raise ValueError(f"element must be an object with 'in' and 'out' lists, got {data!r}")
     params = data.get("params", {})
-    inputs = tuple(data["in"])
-    outputs = tuple(data["out"])
-    if kind == "beam_splitter":
-        return beam_splitter(inputs, outputs, theta=params.get("theta", _BALANCED_ANGLE))
-    if kind == "mirror":
-        return Element("mirror", inputs, outputs)
-    if kind == "deflector":
-        return Element("deflector", inputs, outputs)
-    if kind == "phase_shifter":
-        return Element("phase_shifter", inputs, outputs, angle=float(params["phi"]))
-    if kind == "canceller":
-        return Element("canceller", inputs, outputs, angle=float(params.get("phi", 0.0)))
-    if kind == "custom":
-        rows = tuple(
-            tuple(complex(re, im) for re, im in row) for row in params["matrix"]
-        )
-        return Element("custom", inputs, outputs, matrix=rows)
-    raise ValueError(f"unknown element kind: {kind!r}")
+    return Element(data.get("kind"), tuple(data["in"]), tuple(data["out"]), params)
 
 
 def circuit_to_json(circuit: Circuit) -> str:

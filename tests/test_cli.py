@@ -25,6 +25,25 @@ def run_cli(*args, cwd=None):
     )
 
 
+def _element(kind: str, params: str, inputs: str = '["l"]') -> str:
+    return f'{{"kind": "{kind}", "params": {params}, "in": {inputs}, "out": ["l"]}}'
+
+
+#: Circuit-file elements that must be refused, each with what the message names.
+MALFORMED_ELEMENTS = {
+    "phi-null": (_element("phase_shifter", '{"phi": null}'), "'phi'"),
+    "phi-infinite": (_element("phase_shifter", '{"phi": 1e400}'), "'phi'"),
+    "phi-bool": (_element("phase_shifter", '{"phi": true}'), "'phi'"),
+    "in-not-list": (_element("phase_shifter", '{"phi": 1.0}', "5"), "'in' and 'out' lists"),
+    "bare-string": ('"mirror"', "must be an object"),
+    "params-list": (_element("phase_shifter", "[]"), "params must be an object"),
+    "mirror-params-list": (_element("mirror", "[]"), "params must be an object"),
+    "matrix-not-pairs": (_element("custom", '{"matrix": [[1]]}'), "'matrix'"),
+    "matrix-nan": (_element("custom", '{"matrix": [[[NaN, 0]]]}'), "'matrix'"),
+    "matrix-strings": (_element("custom", '{"matrix": [[["1", "0"]]]}'), "'matrix'"),
+}
+
+
 class TestAuditCommand:
     def test_pass_verdict_exits_zero(self, tmp_path):
         out = tmp_path / "report.json"
@@ -198,6 +217,37 @@ class TestValidateCommand:
         result = run_cli("validate", "--circuit", str(broken))
         assert result.returncode == 1
         assert "malformed" in result.stderr
+
+    @pytest.mark.parametrize(
+        "element, message", MALFORMED_ELEMENTS.values(), ids=MALFORMED_ELEMENTS.keys()
+    )
+    def test_malformed_element_is_usage_error(self, tmp_path, element, message):
+        path = tmp_path / "bad.circuit.json"
+        path.write_text(f"[{_element('mirror', '{}')}, {element}]")
+        result = run_cli("validate", "--circuit", str(path))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: malformed circuit")
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", "--seed", "1"),
+        ("calibrate", "--seed", "1"),
+        ("calibrate", "--format", "json"),
+        ("validate", "--circuit", "shiekh", "--seed", "1"),
+        ("validate", "--circuit", "shiekh", "--format", "json"),
+        ("validate", "--circuit", "shiekh", "--config", "/nonexistent"),
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
+    result = run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert result.returncode == 1
+    assert "unrecognized arguments" in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 class TestCalibrateCommand:
