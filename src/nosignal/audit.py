@@ -95,7 +95,12 @@ class ScenarioConfig:
             raise ValueError("phase list cannot be empty")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be a positive finite number, got {self.sigma}")
+        phases = tuple(float(p) for p in self.phases)
+        if not all(math.isfinite(p) for p in phases):
+            raise ValueError("phases must be finite")
+        object.__setattr__(self, "phases", phases)
         if self.variant == VARIANT_DENSITY:
             cal = default_calibration(self.sigma)
             if self.grid is None:
@@ -168,7 +173,7 @@ def composite_outcomes(
     weight = abs(state.sender_amplitude) ** 2
     branch_probs = sender_set.probabilities(state.sender_state)
     probs = np.append(weight * branch_probs, receiver_probability(state))
-    if probs.sum() < 1.0 - COMPLETENESS_TOL:
+    if not probs.sum() >= 1.0 - COMPLETENESS_TOL:
         raise IncompleteProjectorSetError(
             f"global outcome probabilities sum to {probs.sum():.9f} < 1"
         )

@@ -3,7 +3,8 @@
 Exit codes separate operational problems from scientific verdicts:
 
 * 0 -- success / verdict pass
-* 1 -- usage or configuration error (bad flags, unreadable files)
+* 1 -- usage or configuration error (bad flags or config values,
+  unreadable files)
 * 2 -- scientific failure (audit verdict fail, non-physical circuit,
   calibration below target)
 
@@ -78,14 +79,28 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _setting(args, config: dict, name: str, default):
-    """Flag value if given, else config-file value, else the default."""
+def _setting(args, config: dict, name: str, default, kind=None):
+    """Flag value if given, else config-file value, else the default.
+
+    ``kind`` (``int`` or ``float``) converts any value but ``None``; a config
+    value it cannot convert is a usage error, not a traceback.
+    """
     value = getattr(args, name, None)
-    if value is not None:
+    if value is None:
+        value = config.get(name, default)
+    if value is None or kind is None:
         return value
-    if name in config:
-        return config[name]
-    return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _UsageError(f"setting {name!r} must be {kind.__name__}, got {value!r}")
+
+
+def _sigma(args, config: dict) -> float:
+    sigma = _setting(args, config, "sigma", 1.0, float)
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise _UsageError(f"sigma must be a positive finite number, got {sigma}")
+    return sigma
 
 
 def _parse_phi(text: str) -> float:
@@ -94,40 +109,36 @@ def _parse_phi(text: str) -> float:
     if text == "pi":
         return math.pi
     try:
-        return float(text)
+        phi = float(text)
     except ValueError:
-        raise _UsageError(f"invalid phase {text!r}: use 0, pi, or radians")
+        phi = math.nan
+    if not math.isfinite(phi):
+        raise _UsageError(f"invalid phase {text!r}: use 0, pi, or finite radians")
+    return phi
 
 
-def _grid_from(args, config) -> wavepacket.Grid:
-    sigma = float(_setting(args, config, "sigma", 1.0))
+def _grid_from(args, config, sigma: float) -> wavepacket.Grid:
     defaults = wavepacket.default_grid(sigma)
-    r_min = float(_setting(args, config, "r_min", defaults.r_min))
-    r_max = float(_setting(args, config, "r_max", defaults.r_max))
-    points = int(_setting(args, config, "points", defaults.n_points))
-    try:
-        return wavepacket.Grid(r_min, r_max, points)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    r_min = _setting(args, config, "r_min", defaults.r_min, float)
+    r_max = _setting(args, config, "r_max", defaults.r_max, float)
+    points = _setting(args, config, "points", defaults.n_points, int)
+    return wavepacket.Grid(r_min, r_max, points)
 
 
-def _geometry_from(args, config, grid: wavepacket.Grid):
-    """(sigma, separation, window) with calibrated defaults filled in."""
-    sigma = float(_setting(args, config, "sigma", 1.0))
+def _geometry_from(args, config, grid: wavepacket.Grid, sigma: float):
+    """(separation, window) with calibrated defaults filled in."""
     cal = wavepacket.default_calibration(sigma)
-    separation = _setting(args, config, "separation", None)
-    if separation is None and "d_over_sigma" in config:
-        separation = float(config["d_over_sigma"]) * sigma
+    separation = _setting(args, config, "separation", None, float)
     if separation is None:
-        separation = cal.separation
-    halfwidth = _setting(args, config, "halfwidth", None)
-    if halfwidth is None and "window_halfwidth_over_sigma" in config:
-        halfwidth = float(config["window_halfwidth_over_sigma"]) * sigma
+        ratio = _setting(args, config, "d_over_sigma", None, float)
+        separation = cal.separation if ratio is None else ratio * sigma
+    halfwidth = _setting(args, config, "halfwidth", None, float)
     if halfwidth is None:
-        window = cal.window
-    else:
-        window = wavepacket.symmetric_window(grid, float(halfwidth))
-    return sigma, float(separation), window
+        ratio = _setting(args, config, "window_halfwidth_over_sigma", None, float)
+        if ratio is None:
+            return separation, cal.window
+        halfwidth = ratio * sigma
+    return separation, wavepacket.symmetric_window(grid, halfwidth)
 
 
 # ---------------------------------------------------------------------------
@@ -152,23 +163,20 @@ def cmd_audit(args) -> int:
     variant = _setting(args, config, "variant", None)
     if variant is None:
         raise _UsageError("audit requires --variant")
-    sweep = int(_setting(args, config, "phi_sweep", 64))
-    trials = int(_setting(args, config, "trials", 10_000))
-    seed = int(_setting(args, config, "seed", 0))
-    sigma = float(_setting(args, config, "sigma", 1.0))
+    sweep = _setting(args, config, "phi_sweep", 64, int)
+    trials = _setting(args, config, "trials", 10_000, int)
+    seed = _setting(args, config, "seed", 0, int)
+    sigma = _setting(args, config, "sigma", 1.0, float)
     fmt = _setting(args, config, "format", "json")
     if fmt not in ("json", "csv"):
         raise _UsageError("audit supports --format json or csv")
-    try:
-        scenario = audit_mod.ScenarioConfig(
-            variant=variant,
-            phases=audit_mod.default_phase_sweep(sweep),
-            trials=trials,
-            seed=seed,
-            sigma=sigma,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    scenario = audit_mod.ScenarioConfig(
+        variant=variant,
+        phases=audit_mod.default_phase_sweep(sweep),
+        trials=trials,
+        seed=seed,
+        sigma=sigma,
+    )
     report = audit_mod.no_signalling_audit(scenario)
     text = _json_text(report.to_json_dict()) if fmt == "json" else _audit_csv(report)
     _write_output(args.out, text)
@@ -198,8 +206,9 @@ def cmd_density(args) -> int:
     fmt = _setting(args, config, "format", "csv")
     if fmt not in ("csv", "json"):
         raise _UsageError("density supports --format csv or json")
-    grid = _grid_from(args, config)
-    sigma, separation, window = _geometry_from(args, config, grid)
+    sigma = _sigma(args, config)
+    grid = _grid_from(args, config, sigma)
+    separation, window = _geometry_from(args, config, grid, sigma)
     pair = wavepacket.orthogonal_pair(grid, separation, sigma)
     phi_arg = _setting(args, config, "phi", None)
     if phi_arg is None:
@@ -263,8 +272,8 @@ def cmd_validate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = _load_config_file(args.config)
-    sigma = float(_setting(args, config, "sigma", 1.0))
-    grid = _grid_from(args, config)
+    sigma = _sigma(args, config)
+    grid = _grid_from(args, config, sigma)
     try:
         result = wavepacket.calibrate(grid, sigma)
     except wavepacket.CalibrationError as exc:
@@ -332,15 +341,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (
-        wavepacket.TruncationError,
-        wavepacket.ConditioningError,
-        wavepacket.WindowDomainError,
-        OSError,
-    ) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
+        # every library ValueError here comes from a flag or config value:
+        # a seed out of range, a geometry that does not fit the grid, ...
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -13,7 +13,11 @@ instead.
 Sampling is inverse-CDF with one uniform draw per trial.  The uniforms
 come from a counter-based generator keyed by ``(seed, stream)``: trial
 ``i`` always consumes draw ``i`` of that stream, so batches can be split
-or parallelized without changing any outcome.
+or parallelized without changing any outcome.  A batch is counted, not
+indexed: with ``K`` outcomes there are only ``K - 1`` interior thresholds
+of the cumulative distribution, so :func:`count_outcomes` counts how many
+draws fall below each one instead of locating every draw.  Trial ``i``
+still takes the outcome draw ``i`` selects.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ def _born(state: ModeState | WaveFunction, resolved: list) -> list[float]:
     # cell in numpy); one shared formula would move the last bit of reports
     density = state.density()
     norm = math.sqrt(weight * float(np.sum(density)))
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"state is not normalized (norm {norm:.9f})")
     return [
         float(sum(weight * np.sum(density[lo:hi]) for lo, hi in ranges))
@@ -169,7 +173,7 @@ class ProjectorSet:
         if any(lo < hi for (_, hi), (lo, _) in zip(spans, spans[1:])):
             raise ValueError("projectors overlap between outcomes")
         probs = np.array(_born(state, resolved))
-        if probs.sum() < 1.0 - COMPLETENESS_TOL:
+        if not probs.sum() >= 1.0 - COMPLETENESS_TOL:
             raise IncompleteProjectorSetError(
                 f"outcome probabilities sum to {probs.sum():.9f} < 1; "
                 "the projector set does not cover the state"
@@ -275,12 +279,25 @@ def count_outcomes(probs, draws) -> list[int]:
     """Inverse-CDF sampling: how many of the uniform ``draws`` pick each outcome.
 
     Draw ``u`` picks the first outcome whose cumulative probability exceeds
-    ``u``; rounding that leaves the last CDF entry below 1 sends the rest to
-    the last outcome.
+    ``u``.  So the draws that pick one of outcomes ``0..k`` are exactly those
+    below ``cdf[k]``; outcome ``k`` gets ``below_k - below_{k-1}``, and the
+    last outcome takes every draw not below ``cdf[K-2]``, including those
+    that rounding leaves above the last CDF entry.  Non-negative
+    probabilities keep the CDF non-decreasing, so these are the comparisons
+    a ``side="right"`` binary search of the CDF makes per draw: the counts
+    equal its choices, clamped to the last outcome, for every valid vector.
+
+    Raises ``ValueError`` unless there is at least one probability and each
+    is finite and non-negative: a NaN compares false with every draw and
+    would otherwise hand all of them to the last outcome.
     """
-    cdf = np.cumsum(probs)
-    indices = np.minimum(np.searchsorted(cdf, draws, side="right"), len(probs) - 1)
-    return np.bincount(indices, minlength=len(probs)).tolist()
+    probs = np.asarray(probs, dtype=float)
+    if not (probs.size and np.all(np.isfinite(probs) & (probs >= 0.0))):
+        raise ValueError(f"outcome probabilities must be finite and >= 0, got {probs}")
+    draws = np.asarray(draws)
+    below = [int(np.count_nonzero(draws < c)) for c in np.cumsum(probs)[:-1]]
+    bounds = [0, *below, len(draws)]
+    return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
 
 
 def measure(

@@ -24,6 +24,7 @@ recombination is exactly norm-preserving for every phase.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -66,6 +67,8 @@ class Grid:
     n_points: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
+            raise ValueError(f"grid bounds must be finite, got [{self.r_min}, {self.r_max}]")
         if not self.r_min < self.r_max:
             raise ValueError("grid requires r_min < r_max")
         if self.n_points < 64:
@@ -153,8 +156,8 @@ def gaussian(grid: Grid, center: float, sigma: float) -> WaveFunction:
     deviation ``sigma``.  Raises :class:`TruncationError` when more than
     ``TRUNCATION_TOL`` of that probability mass falls outside the grid.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
     outside = _normal_cdf((grid.r_min - center) / sigma) + _normal_cdf(
         (center - grid.r_max) / sigma
     )
@@ -192,9 +195,19 @@ def orthogonal_pair(grid: Grid, separation: float, width: float) -> PacketPair:
     ``chi_{u,l} = (e +- o)/sqrt(2)`` with ``e`` and ``o`` the normalized sum
     and difference.  This preserves the mirror symmetry
     ``chi_u(r) = chi_l(-r)`` and keeps each packet localized on its own side.
+
+    The last pair built is kept: asking again for the same geometry, as an
+    audit does once per phase, returns that same read-only pair.
     """
-    if separation <= 0:
-        raise ValueError("separation must be positive")
+    return _orthogonal_pair(grid, separation, width)
+
+
+# One entry: an audit asks for one geometry many times in a row, while a
+# calibration scan or a run of exports moves on and never asks again.
+@functools.lru_cache(maxsize=1, typed=True)
+def _orthogonal_pair(grid: Grid, separation: float, width: float) -> PacketPair:
+    if not separation > 0:
+        raise ValueError(f"separation must be positive, got {separation}")
     g_up = gaussian(grid, +separation / 2, width)
     g_lo = gaussian(grid, -separation / 2, width)
     overlap = quadrature_inner(g_up, g_lo).real

@@ -139,6 +139,13 @@ class TestReceiverProbability:
 
 
 class TestSenderMeasurement:
+    def test_nan_receiver_amplitude_fails_the_completeness_gate(self):
+        config = _config(VARIANT_MACH_ZEHNDER)
+        evolved = evolve_sender(build_initial(config), 0.0, config)
+        broken = CompositeState(math.nan, evolved.sender_amplitude, evolved.sender_state)
+        with pytest.raises(IncompleteProjectorSetError):
+            composite_outcomes(broken, sender_projectors(config))
+
     def test_pair_partition_leaves_receiver_at_half(self, density_config):
         evolved = evolve_sender(build_initial(density_config), 0.0, density_config)
         pset = sender_projectors(density_config)
@@ -274,6 +281,17 @@ class TestScenarioConfig:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             ScenarioConfig(variant=VARIANT_MACH_ZEHNDER, phases=(0.0,), trials=0)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, phi):
+        with pytest.raises(ValueError, match="phases must be finite"):
+            ScenarioConfig(variant=VARIANT_MACH_ZEHNDER, phases=(0.0, phi))
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("variant", [VARIANT_MACH_ZEHNDER, VARIANT_DENSITY])
+    def test_sigma_must_be_positive_and_finite(self, variant, sigma):
+        with pytest.raises(ValueError, match="sigma must be a positive finite number"):
+            ScenarioConfig(variant=variant, phases=(0.0,), sigma=sigma)
 
     def test_default_sweep_contains_exact_endpoints(self):
         phases = default_phase_sweep(64)

@@ -9,6 +9,7 @@ from nosignal.measurement import (
     ProjectorDomainError,
     ProjectorSet,
     ZeroNormReductionError,
+    count_outcomes,
     measure,
     mode_projector,
     outcome_records,
@@ -107,6 +108,14 @@ class TestProbability:
                 else:
                     with pytest.raises(ValueError, match="not normalized"):
                         probability(candidate, projector)
+
+    def test_input_gate_rejects_nan_states(self, grid):
+        nan_wave = WaveFunction(grid, np.full(grid.n_points, math.nan))
+        window = window_projector("in", DetectorWindow(-1.0, 1.0))
+        nan_modes = make_state([("u", math.nan), ("l", INV_SQRT2)])
+        for state, projector in ((nan_wave, window), (nan_modes, mode_projector("u", "u"))):
+            with pytest.raises(ValueError, match="not normalized"):
+                probability(state, projector)
 
     def test_projector_needs_exactly_one_target(self):
         with pytest.raises(ValueError):
@@ -296,3 +305,52 @@ class TestSampling:
             "trials": 30,
             "seed": 7,
         }
+
+
+def _searchsorted_counts(probs, draws) -> list[int]:
+    """Reference counter: locate each draw in the CDF, clamp to the last outcome."""
+    cdf = np.cumsum(np.asarray(probs, dtype=float))
+    indices = np.minimum(np.searchsorted(cdf, draws, side="right"), len(cdf) - 1)
+    return np.bincount(indices, minlength=len(cdf)).tolist()
+
+
+def _random_probabilities(rng) -> np.ndarray:
+    """1-5 outcomes, some impossible, summing to 1, 1 - 1e-12 or 1 + 1e-12."""
+    k = int(rng.integers(1, 6))
+    probs = rng.random(k) * (rng.random(k) > 0.3)
+    if not probs.any():
+        probs[rng.integers(k)] = 1.0
+    return probs / probs.sum() * (1.0 + rng.choice([0.0, 1e-12, -1e-12]))
+
+
+class TestCountOutcomes:
+    def test_matches_searchsorted_on_cdf_edges(self):
+        rng = np.random.default_rng(20240805)
+        for _ in range(2000):
+            probs = _random_probabilities(rng)
+            cdf = np.cumsum(probs)
+            edges = np.concatenate(
+                [cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf)]
+            )
+            draws = np.concatenate(
+                [edges, [0.0, np.nextafter(1.0, 0.0)], rng.random(int(rng.integers(0, 20)))]
+            )
+            expected = _searchsorted_counts(probs, draws)
+            for args in ((probs, draws), (probs.tolist(), draws.tolist())):
+                counts = count_outcomes(*args)
+                assert counts == expected
+                assert all(type(c) is int for c in counts)
+
+    def test_single_draw_from_a_list(self):
+        assert count_outcomes([0.25, 0.0, 0.75], [0.25]) == [0, 0, 1]
+        assert count_outcomes([0.25, 0.0, 0.75], [np.nextafter(0.25, 0.0)]) == [1, 0, 0]
+        assert count_outcomes([1.0], [0.5]) == [1]
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[math.nan, 1.0], [0.5, math.nan, 0.5], [-0.25, 1.25], [math.inf, 0.0], []],
+        ids=["nan-first", "nan-middle", "negative", "infinite", "empty"],
+    )
+    def test_invalid_probabilities_rejected(self, probs):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            count_outcomes(probs, np.array([0.1, 0.9]))

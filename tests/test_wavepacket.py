@@ -1,9 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from nosignal import wavepacket
 from nosignal.wavepacket import (
     CALIBRATION_HALFWIDTHS,
     CalibrationError,
@@ -83,6 +85,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(-1.0, 1.0, 32)
 
+    @pytest.mark.parametrize(
+        "r_min, r_max", [(-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0), (-1.0, math.nan)]
+    )
+    def test_non_finite_bounds_rejected(self, r_min, r_max):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(r_min, r_max, 64)
+
 
 class TestGaussian:
     def test_normalized_on_modest_grid(self):
@@ -145,6 +154,34 @@ class TestOrthogonalPair:
     def test_near_identical_packets_rejected(self, grid):
         with pytest.raises(ConditioningError):
             orthogonal_pair(grid, 0.05, 1.0)
+
+    def test_non_positive_or_nan_separation_rejected(self, grid):
+        for d in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="separation must be positive"):
+                orthogonal_pair(grid, d, 1.0)
+
+    def test_same_geometry_returns_the_same_read_only_pair(self, grid):
+        pair = orthogonal_pair(grid, 1.25, 1.0)
+        assert orthogonal_pair(grid, 1.25, 1.0) is pair
+        assert not pair.upper.samples.flags.writeable
+        assert not pair.lower.samples.flags.writeable
+
+    def test_other_geometry_returns_another_pair(self, grid):
+        pair = orthogonal_pair(grid, 1.25, 1.0)
+        other_separation = orthogonal_pair(grid, 1.5, 1.0)
+        assert other_separation is not pair
+        assert other_separation.separation == 1.5
+        other_grid = orthogonal_pair(grid.doubled(), 1.25, 1.0)
+        assert other_grid is not pair
+        assert other_grid.upper.grid == grid.doubled()
+        # one entry is kept, so returning to the first geometry rebuilds it
+        rebuilt = orthogonal_pair(grid, 1.25, 1.0)
+        assert rebuilt is not pair
+        np.testing.assert_array_equal(rebuilt.upper.samples, pair.upper.samples)
+
+    def test_orthogonal_pair_stays_a_plain_function(self):
+        # call tracers wrap plain module functions only
+        assert inspect.isfunction(wavepacket.orthogonal_pair)
 
 
 class TestRecombine:
