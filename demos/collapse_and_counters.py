@@ -21,7 +21,6 @@ from nosignal import (
     reduce,
     sample_outcomes,
     three_counter_partition,
-    window_probability,
     window_projector,
 )
 from nosignal.measurement import sampling_record
@@ -47,7 +46,7 @@ print(f"  conditioned on a click: P(in window) = "
 print(f"  conditioned on no click: P(in window) = "
       f"{probability(missed, parts.projectors[0]):.2e}")
 print(f"  both renormalized: norms ~ 1 "
-      f"({window_probability(fired, cal.window):.6f} inside its window)")
+      f"({probability(fired, counter):.6f} inside its window)")
 
 # --- three adjacent counters tile the axis --------------------------------
 trio = three_counter_partition(cal.window, grid)

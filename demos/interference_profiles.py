@@ -20,11 +20,12 @@ from nosignal import (
     default_calibration,
     default_grid,
     gaussian,
+    inner,
+    norm,
     orthogonal_pair,
-    quadrature_inner,
-    quadrature_norm,
+    probability,
     recombine,
-    window_probability,
+    window_projector,
 )
 
 grid = default_grid()
@@ -36,22 +37,22 @@ print(f"calibrated geometry: d = {cal.separation:.4f}, "
 # --- raw packets overlap, and the overlap breaks naive recombination ----
 g_up = gaussian(grid, +cal.separation / 2, 1.0)
 g_lo = gaussian(grid, -cal.separation / 2, 1.0)
-s = quadrature_inner(g_up, g_lo).real
+s = inner(g_up, g_lo).real
 print(f"\nraw packet overlap s = {s:.6f} "
       f"(closed form {math.exp(-cal.separation**2 / 8):.6f})")
 for phi in (0.0, math.pi):
     raw = combine(g_up, g_lo, 1 / math.sqrt(2), np.exp(1j * phi) / math.sqrt(2))
     print(f"  naive recombination at phi={phi:.2f}: norm = "
-          f"{quadrature_norm(raw):.6f} (sqrt(1 + s cos phi) = "
+          f"{norm(raw):.6f} (sqrt(1 + s cos phi) = "
           f"{math.sqrt(1 + s * math.cos(phi)):.6f})")
 
 # --- the orthogonalized pair recombines unitarily ------------------------
 pair = orthogonal_pair(grid, cal.separation, 1.0)
 print(f"\northogonalized: <chi_u|chi_l> = "
-      f"{abs(quadrature_inner(pair.upper, pair.lower)):.2e}")
+      f"{abs(inner(pair.upper, pair.lower)):.2e}")
 for phi in (0.0, math.pi / 2, math.pi):
     print(f"  recombined norm at phi={phi:.4f}: "
-          f"{quadrature_norm(recombine(pair, phi)):.12f}")
+          f"{norm(recombine(pair, phi)):.12f}")
 
 # --- the two canonical density profiles ----------------------------------
 psi0 = recombine(pair, 0.0)
@@ -60,18 +61,19 @@ center = grid.n_points // 2
 print(f"\ndensity at r=0:  constructive {psi0.density()[center]:.4f}, "
       f"destructive {psi_pi.density()[center]:.2e} (exact node)")
 
-p0 = window_probability(psi0, cal.window)
-p_pi = window_probability(psi_pi, cal.window)
+counter = window_projector("in", cal.window)
+p0 = probability(psi0, counter)
+p_pi = probability(psi_pi, counter)
 print(f"counter-window probability: constructive {p0:.4f}, destructive {p_pi:.4f}")
 print(f"contrast min(P0, 1 - Ppi) = {min(p0, 1 - p_pi):.4f} "
       "(Gaussian-packet ceiling is 0.7385)")
 
 # --- probability moves to the complement, it never disappears ------------
-left = DetectorWindow(grid.r_min, cal.window.lo)
-right = DetectorWindow(cal.window.hi, grid.r_max)
+left = window_projector("left", DetectorWindow(grid.r_min, cal.window.lo))
+right = window_projector("right", DetectorWindow(cal.window.hi, grid.r_max))
 for name, psi in (("constructive", psi0), ("destructive", psi_pi)):
-    outside = window_probability(psi, left) + window_probability(psi, right)
-    inside = window_probability(psi, cal.window)
+    outside = probability(psi, left) + probability(psi, right)
+    inside = probability(psi, counter)
     print(f"  {name}: inside {inside:.4f} + outside {outside:.4f} = "
           f"{inside + outside:.12f}")
 

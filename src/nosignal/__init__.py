@@ -9,7 +9,8 @@ local interference contrast, global invariance.
 
 Layers:
 
-* :mod:`nosignal.modes` -- amplitudes over labelled discrete modes
+* :mod:`nosignal.modes` -- the one state type: amplitudes over mode labels
+  or grid cells, with its norm, inner product and superposition
 * :mod:`nosignal.optics` -- transfer matrices, circuits, isometry checks
 * :mod:`nosignal.wavepacket` -- Gaussian packets, interference profiles,
   detector windows, geometry calibration
@@ -21,11 +22,12 @@ Layers:
 
 from .modes import (
     DuplicateModeError,
-    ModeState,
+    Grid,
+    State,
+    combine,
     inner,
     make_state,
     norm,
-    superpose,
 )
 from .optics import (
     Circuit,
@@ -61,22 +63,16 @@ from .wavepacket import (
     CalibrationResult,
     ConditioningError,
     DetectorWindow,
-    Grid,
     PacketPair,
     TruncationError,
-    WaveFunction,
     WindowDomainError,
     calibrate,
-    combine,
     default_calibration,
     default_grid,
     gaussian,
     orthogonal_pair,
-    quadrature_inner,
-    quadrature_norm,
     recombine,
     symmetric_window,
-    window_probability,
 )
 from .measurement import (
     IncompleteProjectorSetError,

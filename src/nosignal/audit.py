@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import ModeState, make_state
+from .modes import Grid, State, make_state
 from .optics import mz_output
 from .measurement import (
     IncompleteProjectorSetError,
@@ -41,8 +41,6 @@ from .measurement import (
 from .tolerances import ANALYTIC_TOL, COMPLETENESS_TOL, REDUCTION_EPS
 from .wavepacket import (
     DetectorWindow,
-    Grid,
-    WaveFunction,
     default_calibration,
     default_grid,
     orthogonal_pair,
@@ -67,12 +65,7 @@ class CompositeState:
 
     receiver_amplitude: complex
     sender_amplitude: complex
-    sender_state: ModeState | WaveFunction
-
-    @property
-    def total_norm(self) -> float:
-        r, s = abs(self.receiver_amplitude), abs(self.sender_amplitude)
-        return math.sqrt(r * r + s * s)
+    sender_state: State
 
 
 @dataclass(frozen=True)
@@ -113,6 +106,8 @@ class ScenarioConfig:
 
 def default_phase_sweep(n: int = 64) -> tuple[float, ...]:
     """``n`` equally spaced phases in [0, 2 pi) plus the exact points 0 and pi."""
+    if n < 1:
+        raise ValueError(f"a phase sweep needs at least 1 phase, got {n}")
     values = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
     return tuple(sorted(set(values.tolist()) | {0.0, math.pi}))
 
@@ -137,7 +132,7 @@ def evolve_sender(
     state, so applying it twice at the same phase is the same as once.
     """
     if config.variant == VARIANT_MACH_ZEHNDER:
-        branch: ModeState | WaveFunction = mz_output(phi)
+        branch = mz_output(phi)
     else:
         pair = orthogonal_pair(config.grid, config.separation, config.sigma)
         branch = recombine(pair, phi)

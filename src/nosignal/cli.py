@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import audit as audit_mod
-from . import optics, wavepacket
+from . import measurement, modes, optics, wavepacket
+from .tolerances import NORM_TOL
 
 USAGE_ERROR = 1
 VERDICT_FAIL = 2
@@ -83,17 +84,22 @@ def _setting(args, config: dict, name: str, default, kind=None):
     """Flag value if given, else config-file value, else the default.
 
     ``kind`` (``int`` or ``float``) converts any value but ``None``; a config
-    value it cannot convert is a usage error, not a traceback.
+    value it cannot convert is a usage error, not a traceback.  Booleans are
+    refused, and so is a fractional value for an ``int``: ``2.0`` is 2, but
+    ``2.7`` is not.
     """
     value = getattr(args, name, None)
     if value is None:
         value = config.get(name, default)
     if value is None or kind is None:
         return value
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise _UsageError(f"setting {name!r} must be {kind.__name__}, got {value!r}")
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if not (isinstance(value, bool) or fractional):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise _UsageError(f"setting {name!r} must be {kind.__name__}, got {value!r}")
 
 
 def _sigma(args, config: dict) -> float:
@@ -227,11 +233,11 @@ def cmd_density(args) -> int:
     _write_output(args.out, _density_text(grid, columns, fmt))
     if args.verify:
         for phi, psi in states.items():
-            total = wavepacket.quadrature_norm(psi) ** 2
-            if abs(total - 1.0) > wavepacket.NORM_TOL:
+            total = modes.norm(psi) ** 2
+            if abs(total - 1.0) > NORM_TOL:
                 print(f"verify: phi={phi} integral {total!r} != 1", file=sys.stderr)
                 return USAGE_ERROR
-            p_in = wavepacket.window_probability(psi, window)
+            p_in = measurement.probability(psi, measurement.window_projector("in", window))
             sender = {"in": 0.5 * p_in, "out": 0.5 * (1.0 - p_in)}
             print(json.dumps({"phi": phi, "sender": sender}))
     return 0

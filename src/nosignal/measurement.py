@@ -2,10 +2,11 @@
 
 Projectors target either detector windows on a grid (resolved to exact
 cell ranges, so the Born rule over a partition is exactly additive) or
-subsets of mode labels.  Either way the state is a complex vector with a
-weight per index (1 per mode, the cell width per grid cell), and the
-projector keeps some index ranges of it; :func:`_resolve` is the one place
-the two kinds of state are told apart.  Measuring collapses the state onto
+subsets of mode labels.  Either way the state is one
+:class:`~nosignal.modes.State`, a complex vector with a weight per index
+(1 per mode, the cell width per grid cell), and the projector keeps some
+index ranges of it; :func:`_resolve` is the one place a projector is
+matched to the state's basis.  Measuring collapses the state onto
 the observed projector's range and renormalizes; an outcome whose
 probability is below ``REDUCTION_EPS`` cannot be conditioned on and raises
 instead.
@@ -24,17 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .modes import ModeState
+from .modes import Grid, State
 from .tolerances import COMPLETENESS_TOL, NORM_TOL, REDUCTION_EPS
-from .wavepacket import DetectorWindow, Grid, WaveFunction, window_cells
+from .wavepacket import DetectorWindow, window_cells
 
 
 class ProjectorDomainError(ValueError):
-    """Projector and state disagree (window vs mode target, or foreign grid)."""
+    """Projector and basis disagree: windows need a grid basis, modes a label basis."""
 
 
 class ZeroNormReductionError(ValueError):
@@ -83,43 +83,36 @@ def mode_projector(label: str, *modes: str) -> Projector:
     return Projector(label, modes=frozenset(modes))
 
 
-def _resolve(state: ModeState | WaveFunction, projector: Projector):
-    """``(amplitudes, weight, ranges, rebuild)`` of a state under a projector.
+def _resolve(state: State, projector: Projector) -> list[tuple[int, int]]:
+    """The ``[lo, hi)`` index ranges of ``state`` that the projector keeps.
 
-    ``amplitudes`` is the state's vector and ``weight`` the measure of one of
-    its indices: 1 per mode, the spacing ``h`` per grid cell.  ``ranges`` are
-    the ``[lo, hi)`` index ranges the projector keeps, one per mode in label
-    order or one per window in window order; Born sums run in that order.
-    ``rebuild`` makes a state of the same kind from a new vector.
+    One range per mode in label order, or one per window in window order;
+    Born sums run in that order.
     """
-    if isinstance(state, WaveFunction) and projector.windows is not None:
-        ranges = [window_cells(state.grid, w) for w in projector.windows]
-        rebuild = partial(WaveFunction, state.grid)
-        return state.samples, state.grid.spacing, ranges, rebuild
-    if isinstance(state, ModeState) and projector.modes is not None:
-        labels = state.labels
-        ranges = [(i, i + 1) for i, label in enumerate(labels) if label in projector.modes]
-        return state.amplitudes, 1.0, ranges, partial(ModeState, labels)
+    on_grid = isinstance(state.basis, Grid)
+    if on_grid and projector.windows is not None:
+        return [window_cells(state.basis, w) for w in projector.windows]
+    if not on_grid and projector.modes is not None:
+        return [(i, i + 1) for i, label in enumerate(state.basis) if label in projector.modes]
     kind = "mode" if projector.windows is None else "window"
-    raise ProjectorDomainError(f"{kind} projector applied to a {type(state).__name__}")
+    basis = "grid" if on_grid else "mode"
+    raise ProjectorDomainError(f"{kind} projector applied to a {basis} state")
 
 
-def _born(state: ModeState | WaveFunction, resolved: list) -> list[float]:
-    """Born probability per :func:`_resolve` result for ``state``; one density, one gate."""
-    weight = resolved[0][1]
-    # each kind squares its amplitudes its own way (per mode in Python, per
-    # cell in numpy); one shared formula would move the last bit of reports
+def _born(state: State, kept: list[list[tuple[int, int]]]) -> list[float]:
+    """Born probability of each :func:`_resolve` result; one density, one gate."""
+    weight = state.weight
     density = state.density()
     norm = math.sqrt(weight * float(np.sum(density)))
     if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"state is not normalized (norm {norm:.9f})")
     return [
         float(sum(weight * np.sum(density[lo:hi]) for lo, hi in ranges))
-        for _, _, ranges, _ in resolved
+        for ranges in kept
     ]
 
 
-def probability(state: ModeState | WaveFunction, projector: Projector) -> float:
+def probability(state: State, projector: Projector) -> float:
     """Born probability ``<psi|P|psi>`` of the projector's outcome.
 
     Rejects a state whose norm is more than ``NORM_TOL`` away from 1.
@@ -127,20 +120,19 @@ def probability(state: ModeState | WaveFunction, projector: Projector) -> float:
     return _born(state, [_resolve(state, projector)])[0]
 
 
-def reduce(state: ModeState | WaveFunction, projector: Projector):
+def reduce(state: State, projector: Projector) -> State:
     """Collapse: ``P|psi> / ||P|psi>||``, an eigenstate of ``P`` afterwards."""
-    resolved = _resolve(state, projector)
-    p = _born(state, [resolved])[0]
+    ranges = _resolve(state, projector)
+    p = _born(state, [ranges])[0]
     if p < REDUCTION_EPS:
         raise ZeroNormReductionError(
             f"outcome {projector.label!r} has probability {p:.3e} < {REDUCTION_EPS}"
         )
-    amplitudes, _, ranges, rebuild = resolved
     scale = 1.0 / math.sqrt(p)
-    collapsed = np.zeros_like(amplitudes)
+    collapsed = np.zeros_like(state.amplitudes)
     for lo, hi in ranges:
-        collapsed[lo:hi] = amplitudes[lo:hi] * scale
-    return rebuild(collapsed)
+        collapsed[lo:hi] = state.amplitudes[lo:hi] * scale
+    return State(state.basis, collapsed)
 
 
 @dataclass(frozen=True)
@@ -165,14 +157,13 @@ class ProjectorSet:
     def labels(self) -> tuple[str, ...]:
         return tuple(p.label for p in self.projectors)
 
-    def probabilities(self, state) -> np.ndarray:
+    def probabilities(self, state: State) -> np.ndarray:
         """Per-outcome Born probabilities; raises if outcomes overlap or miss."""
-        resolved = [_resolve(state, p) for p in self.projectors]
-        ranges = [r for _, _, kept, _ in resolved for r in kept]
-        spans = sorted((lo, hi) for lo, hi in ranges if lo < hi)
+        kept = [_resolve(state, p) for p in self.projectors]
+        spans = sorted((lo, hi) for ranges in kept for lo, hi in ranges if lo < hi)
         if any(lo < hi for (_, hi), (lo, _) in zip(spans, spans[1:])):
             raise ValueError("projectors overlap between outcomes")
-        probs = np.array(_born(state, resolved))
+        probs = np.array(_born(state, kept))
         if not probs.sum() >= 1.0 - COMPLETENESS_TOL:
             raise IncompleteProjectorSetError(
                 f"outcome probabilities sum to {probs.sum():.9f} < 1; "
@@ -191,10 +182,10 @@ class OutcomeRecord:
 
     label: str
     probability: float
-    reduced: ModeState | WaveFunction | None
+    reduced: State | None
 
 
-def outcome_records(state, projector_set: ProjectorSet) -> list[OutcomeRecord]:
+def outcome_records(state: State, projector_set: ProjectorSet) -> list[OutcomeRecord]:
     """Full Born-rule table for a complete projector set."""
     probs = projector_set.probabilities(state)
     records = []
@@ -301,8 +292,8 @@ def count_outcomes(probs, draws) -> list[int]:
 
 
 def measure(
-    state, projector_set: ProjectorSet, seed: int, trial: int = 0
-) -> tuple[str, ModeState | WaveFunction]:
+    state: State, projector_set: ProjectorSet, seed: int, trial: int = 0
+) -> tuple[str, State]:
     """Sample one outcome by the Born rule and return the reduced state.
 
     Deterministic: the outcome is a pure function of
@@ -315,7 +306,7 @@ def measure(
 
 
 def sample_outcomes(
-    state, projector_set: ProjectorSet, seed: int, n_trials: int, stream: int = 0
+    state: State, projector_set: ProjectorSet, seed: int, n_trials: int, stream: int = 0
 ) -> dict[str, int]:
     """Outcome counts over ``n_trials`` Born-rule samples (vectorized).
 

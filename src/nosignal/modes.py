@@ -1,19 +1,21 @@
-"""Discrete-mode states: complex amplitudes over labelled optical modes.
+"""States: complex amplitudes over a basis of mode labels or grid cells.
 
-A :class:`ModeState` is a finite complex vector indexed by short string
-labels ("u", "l", "H", ...).  Labels that do not appear in a state carry
-amplitude zero, so states supported on disjoint mode sets combine into
-superpositions without any padding or bookkeeping.
+A :class:`State` is a finite complex vector over a basis.  The basis is
+either a tuple of short mode labels ("u", "l", "H", ...) or a
+:class:`Grid` of cells on the transverse axis.  Each index carries a
+weight, the measure of one basis element: 1 per mode, the cell width per
+grid cell.  The norm, the inner product and the Born rule are weighted
+sums over the indices, so one type serves both the discrete optics and the
+spatial wave packets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .tolerances import NORMALIZATION_TOL
 
 
 class DuplicateModeError(ValueError):
@@ -22,10 +24,10 @@ class DuplicateModeError(ValueError):
 
 def check_labels(labels: Sequence[str]) -> tuple[str, ...]:
     """Validate a label list: nonempty strings, pairwise distinct."""
-    out = tuple(str(label) for label in labels)
+    out = tuple(labels)
     for label in out:
-        if not label:
-            raise ValueError("mode labels must be nonempty strings")
+        if not (isinstance(label, str) and label):
+            raise ValueError(f"mode labels must be nonempty strings, got {label!r}")
     if len(set(out)) != len(out):
         seen: set[str] = set()
         dupes = sorted({label for label in out if label in seen or seen.add(label)})
@@ -34,92 +36,124 @@ def check_labels(labels: Sequence[str]) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class ModeState:
-    """Amplitudes over an ordered tuple of distinct mode labels.
+class Grid:
+    """Uniform 1-D grid: ``n_points`` cell-centered samples on ``[r_min, r_max]``."""
+
+    r_min: float
+    r_max: float
+    n_points: int
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
+            raise ValueError(f"grid bounds must be finite, got [{self.r_min}, {self.r_max}]")
+        if not self.r_min < self.r_max:
+            raise ValueError("grid requires r_min < r_max")
+        if self.n_points < 64:
+            raise ValueError("grid requires at least 64 points")
+
+    @property
+    def spacing(self) -> float:
+        return (self.r_max - self.r_min) / self.n_points
+
+    @property
+    def center(self) -> float:
+        return 0.5 * (self.r_min + self.r_max)
+
+    @property
+    def points(self) -> np.ndarray:
+        """Sample positions, built symmetrically about the grid center.
+
+        The symmetric form keeps mirror pairs exact in floating point and
+        places a sample exactly at the center when ``n_points`` is odd.
+        """
+        n = self.n_points
+        return (np.arange(n) - (n - 1) / 2) * self.spacing + self.center
+
+    def edge_value(self, index: int) -> float:
+        """Position of cell edge ``index`` (0 .. n_points)."""
+        return (index - self.n_points / 2) * self.spacing + self.center
+
+    def edge_index(self, r: float) -> int:
+        """Nearest cell-edge index to position ``r``, clipped to the grid."""
+        raw = (r - self.center) / self.spacing + self.n_points / 2
+        return int(min(max(round(raw), 0), self.n_points))
+
+
+@dataclass(frozen=True)
+class State:
+    """Amplitudes over a basis: distinct mode labels, or the cells of a grid.
 
     Instances are immutable value snapshots; every operation returns a new
     state.  The amplitude array is stored read-only in double precision.
+    On a grid the amplitudes are samples of the wavefunction (units
+    ``length^(-1/2)``), and sums over cells are midpoint quadratures.
     """
 
-    labels: tuple[str, ...]
+    basis: tuple[str, ...] | Grid
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        labels = check_labels(self.labels)
+        if isinstance(self.basis, Grid):
+            size = self.basis.n_points
+        else:
+            object.__setattr__(self, "basis", check_labels(self.basis))
+            size = len(self.basis)
         amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (len(labels),):
-            raise ValueError(
-                f"expected {len(labels)} amplitudes, got shape {amps.shape}"
-            )
+        if amps.shape != (size,):
+            raise ValueError(f"expected {size} amplitudes, got shape {amps.shape}")
         amps.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
-    def is_normalized(self) -> bool:
-        """True when the norm is within ``NORMALIZATION_TOL`` of 1."""
-        return abs(norm(self) - 1.0) <= NORMALIZATION_TOL
+    def weight(self) -> float:
+        """Measure of one index: 1 per mode, the cell width per grid cell."""
+        return self.basis.spacing if isinstance(self.basis, Grid) else 1.0
 
     def amplitude(self, label: str) -> complex:
-        """Amplitude on ``label``; zero when the label is absent."""
+        """Amplitude on mode ``label``; zero when the label is absent."""
+        if isinstance(self.basis, Grid):
+            raise ValueError("a grid state has no mode labels")
         try:
-            return complex(self.amplitudes[self.labels.index(label)])
+            return complex(self.amplitudes[self.basis.index(label)])
         except ValueError:
             return 0j
 
     def density(self) -> np.ndarray:
-        """Detection probability ``|a_m|^2`` of each mode, in label order."""
+        """``|a_i|^2`` per index: detection probability per mode, density per cell.
+
+        Modes are squared one by one in Python and cells in one numpy call;
+        the two round differently in the last bit, and reports keep each.
+        """
+        if isinstance(self.basis, Grid):
+            return np.abs(self.amplitudes) ** 2
         return np.array([abs(a) ** 2 for a in self.amplitudes])
 
-    def to_json_dict(self) -> dict:
-        """Serialize as ``{"modes": [{"label", "re", "im"}, ...]}``."""
-        return {
-            "modes": [
-                {"label": label, "re": float(a.real), "im": float(a.imag)}
-                for label, a in zip(self.labels, self.amplitudes)
-            ]
-        }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ModeState":
-        entries = [
-            (mode["label"], complex(mode["re"], mode["im"])) for mode in data["modes"]
-        ]
-        return make_state(entries)
-
-
-def make_state(entries: Iterable[tuple[str, complex]]) -> ModeState:
-    """Build a state from ``(label, amplitude)`` pairs, in the given order."""
+def make_state(entries: Iterable[tuple[str, complex]]) -> State:
+    """Build a mode state from ``(label, amplitude)`` pairs, in the given order."""
     pairs = list(entries)
     labels = tuple(label for label, _ in pairs)
     amps = np.array([amplitude for _, amplitude in pairs], dtype=np.complex128)
-    return ModeState(labels, amps)
+    return State(labels, amps)
 
 
-def norm(state: ModeState) -> float:
-    """Euclidean norm ``sqrt(sum |a_m|^2)``."""
-    return float(np.linalg.norm(state.amplitudes))
+def _same_basis(a: State, b: State) -> None:
+    if a.basis != b.basis:
+        raise ValueError("states live on different bases")
 
 
-def inner(a: ModeState, b: ModeState) -> complex:
-    """Inner product ``sum conj(a_m) b_m``; absent labels contribute zero."""
-    b_map = dict(zip(b.labels, b.amplitudes))
-    total = 0j
-    for label, amp in zip(a.labels, a.amplitudes):
-        other = b_map.get(label)
-        if other is not None:
-            total += np.conj(amp) * other
-    return complex(total)
+def norm(state: State) -> float:
+    """Weighted Euclidean norm ``sqrt(w * sum |a_i|^2)``."""
+    return math.sqrt(state.weight * float(np.sum(state.density())))
 
 
-def superpose(a: ModeState, b: ModeState, ca: complex, cb: complex) -> ModeState:
-    """Amplitude-wise ``ca*a + cb*b`` with labels merged.
+def inner(a: State, b: State) -> complex:
+    """Inner product ``w * sum conj(a_i) b_i`` of two states on one basis."""
+    _same_basis(a, b)
+    return complex(a.weight * np.sum(np.conj(a.amplitudes) * b.amplitudes))
 
-    Labels keep ``a``'s order first, then ``b``'s labels that are new.
-    """
-    merged: dict[str, complex] = {
-        label: ca * amp for label, amp in zip(a.labels, a.amplitudes)
-    }
-    for label, amp in zip(b.labels, b.amplitudes):
-        merged[label] = merged.get(label, 0j) + cb * amp
-    return make_state(list(merged.items()))
+
+def combine(a: State, b: State, ca: complex, cb: complex) -> State:
+    """Superposition ``ca*a + cb*b`` of two states on one basis."""
+    _same_basis(a, b)
+    return State(a.basis, ca * a.amplitudes + cb * b.amplitudes)

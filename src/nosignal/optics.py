@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .modes import ModeState, check_labels, make_state
+from .modes import Grid, State, check_labels, make_state
 from .tolerances import ISOMETRY_TOL
 
 #: Phase-shifter settings for the two canonical interferometer arrangements.
@@ -328,32 +328,35 @@ def circuit_matrix(circuit: Circuit) -> TransferMatrix:
     return TransferMatrix(circuit.input_modes, live, total)
 
 
-def apply(circuit: Circuit, state: ModeState, allow_nonphysical: bool = False) -> ModeState:
+def apply(circuit: Circuit, state: State, allow_nonphysical: bool = False) -> State:
     """Run ``state`` through the circuit, element by element.
 
     Refuses non-physical circuits unless ``allow_nonphysical`` is set; the
     opt-in exists so the canceller's absurd consequence (a vanishing state)
-    can be produced on purpose.
+    can be produced on purpose.  Circuits act on mode states only; a state
+    on a grid basis is refused.
     """
+    if isinstance(state.basis, Grid):
+        raise ValueError("circuits act on mode states, not on a grid basis")
     steps = list(_walk(circuit))
     report = _report(steps)
     if not report.physical and not allow_nonphysical:
         raise NonPhysicalCircuitError(report)
-    unknown = [m for m in state.labels if m not in circuit.input_modes]
+    unknown = [m for m in state.basis if m not in circuit.input_modes]
     if unknown:
         raise WiringError(f"state uses modes {unknown} outside the circuit inputs")
     live = circuit.input_modes
     vec = np.array([state.amplitude(m) for m in live], dtype=np.complex128)
     for _, element, before, live in steps:
         vec = _embedded_matrix(before, live, element) @ vec
-    return ModeState(live, vec)
+    return State(live, vec)
 
 
 # ---------------------------------------------------------------------------
 # Canonical devices
 # ---------------------------------------------------------------------------
 
-def interferometer_output(phi: float) -> ModeState:
+def interferometer_output(phi: float) -> State:
     """Final state of the split-and-deflect device: ``(|u> + e^{i phi}|l>)/sqrt(2)``.
 
     The two packets leave the final deflectors travelling parallel on the
@@ -363,7 +366,7 @@ def interferometer_output(phi: float) -> ModeState:
     return make_state([("u", 1 / math.sqrt(2)), ("l", np.exp(1j * phi) / math.sqrt(2))])
 
 
-def mz_output(phi: float) -> ModeState:
+def mz_output(phi: float) -> State:
     """Output of a full Mach-Zehnder: a second balanced splitter recombines.
 
     Amplitudes are ``(1 + e^{i phi})/2`` on the horizontal port "H" and

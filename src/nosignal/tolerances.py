@@ -4,10 +4,8 @@ The modules that apply a check import its constant from here, so each value
 is set in exactly one place.
 """
 
-#: Input gate: a mode state or wavefunction must have norm within this of 1.
+#: Input gate: a state must have norm within this of 1.
 NORM_TOL = 1e-8
-#: ``ModeState.is_normalized``: exact-arithmetic states hold their norm to this.
-NORMALIZATION_TOL = 1e-12
 #: Outcome probabilities summing below ``1 - COMPLETENESS_TOL`` do not cover
 #: the state (a projector set, or the audit's global outcome set).
 COMPLETENESS_TOL = 1e-6

@@ -1,4 +1,4 @@
-"""Spatial wave packets on a 1-D grid: interference profiles and window probabilities.
+"""Spatial wave packets on a grid: interference profiles, detector windows, calibration.
 
 The two packets leaving the interferometer travel parallel along the
 transverse axis ``r``, displaced by a separation ``d`` and each of width
@@ -7,11 +7,13 @@ constructive (even) or destructive (odd) density profile a detector sees.
 
 Numerical scheme
 ----------------
-Samples live at the centers of ``n_points`` uniform cells covering
-``[r_min, r_max]`` and integrals are midpoint sums ``h * sum(f)``.  Detector
-windows are resolved to whole cells, so window projectors are exact 0/1
-masks in the discrete inner product: window probabilities of a partition
-add to exactly 1, and projection followed by renormalization is exactly
+A packet is a :class:`~nosignal.modes.State` on a
+:class:`~nosignal.modes.Grid` basis: samples live at the centers of
+``n_points`` uniform cells covering ``[r_min, r_max]`` and integrals are
+midpoint sums ``h * sum(f)``.  Detector windows are resolved to whole cells
+(:func:`window_cells`), so window projectors are exact 0/1 masks in the
+discrete inner product: window probabilities of a partition add to
+exactly 1, and projection followed by renormalization is exactly
 idempotent.  Cell edges are nested under ``n_points`` doubling, which makes
 reported probabilities stable under grid refinement at second order.
 
@@ -32,7 +34,8 @@ from importlib import resources
 
 import numpy as np
 
-from .tolerances import NORM_TOL, TRUNCATION_TOL
+from .modes import Grid, State, combine, inner, norm
+from .tolerances import TRUNCATION_TOL
 
 #: Raw-Gaussian overlaps above this make the orthogonalization ill-conditioned.
 MAX_OVERLAP = 0.999
@@ -58,98 +61,7 @@ def _normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2))
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Uniform 1-D grid: ``n_points`` cell-centered samples on ``[r_min, r_max]``."""
-
-    r_min: float
-    r_max: float
-    n_points: int
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
-            raise ValueError(f"grid bounds must be finite, got [{self.r_min}, {self.r_max}]")
-        if not self.r_min < self.r_max:
-            raise ValueError("grid requires r_min < r_max")
-        if self.n_points < 64:
-            raise ValueError("grid requires at least 64 points")
-
-    @property
-    def spacing(self) -> float:
-        return (self.r_max - self.r_min) / self.n_points
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.r_min + self.r_max)
-
-    @property
-    def points(self) -> np.ndarray:
-        """Sample positions, built symmetrically about the grid center.
-
-        The symmetric form keeps mirror pairs exact in floating point and
-        places a sample exactly at the center when ``n_points`` is odd.
-        """
-        n = self.n_points
-        return (np.arange(n) - (n - 1) / 2) * self.spacing + self.center
-
-    def edge_value(self, index: int) -> float:
-        """Position of cell edge ``index`` (0 .. n_points)."""
-        return (index - self.n_points / 2) * self.spacing + self.center
-
-    def edge_index(self, r: float) -> int:
-        """Nearest cell-edge index to position ``r``, clipped to the grid."""
-        raw = (r - self.center) / self.spacing + self.n_points / 2
-        return int(min(max(round(raw), 0), self.n_points))
-
-    def doubled(self) -> "Grid":
-        """Same extent at twice the resolution; cell edges are preserved."""
-        return Grid(self.r_min, self.r_max, 2 * self.n_points)
-
-
-@dataclass(frozen=True)
-class WaveFunction:
-    """Complex amplitude samples on a grid (units ``length^(-1/2)``)."""
-
-    grid: Grid
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        samples = np.array(self.samples, dtype=np.complex128)
-        if samples.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"expected {self.grid.n_points} samples, got shape {samples.shape}"
-            )
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def is_normalized(self) -> bool:
-        return abs(quadrature_norm(self) - 1.0) <= NORM_TOL
-
-    def density(self) -> np.ndarray:
-        """Position probability density ``|psi(r)|^2`` at the samples."""
-        return np.abs(self.samples) ** 2
-
-
-def quadrature_inner(f: WaveFunction, g: WaveFunction) -> complex:
-    """Grid inner product ``h * sum conj(f) g``."""
-    if f.grid != g.grid:
-        raise ValueError("wavefunctions live on different grids")
-    return complex(f.grid.spacing * np.sum(np.conj(f.samples) * g.samples))
-
-
-def quadrature_norm(f: WaveFunction) -> float:
-    return math.sqrt(f.grid.spacing * float(np.sum(np.abs(f.samples) ** 2)))
-
-
-def combine(f: WaveFunction, g: WaveFunction, cf: complex, cg: complex) -> WaveFunction:
-    """Pointwise ``cf*f + cg*g`` on a shared grid."""
-    if f.grid != g.grid:
-        raise ValueError("wavefunctions live on different grids")
-    return WaveFunction(f.grid, cf * f.samples + cg * g.samples)
-
-
-def gaussian(grid: Grid, center: float, sigma: float) -> WaveFunction:
+def gaussian(grid: Grid, center: float, sigma: float) -> State:
     """Real Gaussian packet ``exp(-(r-center)^2 / (4 sigma^2))``, quadrature-normalized.
 
     The squared amplitude is then the normal density with standard
@@ -168,8 +80,8 @@ def gaussian(grid: Grid, center: float, sigma: float) -> WaveFunction:
         )
     r = grid.points
     raw = np.exp(-((r - center) ** 2) / (4 * sigma**2))
-    norm = math.sqrt(grid.spacing * float(np.sum(raw * raw)))
-    return WaveFunction(grid, raw / norm)
+    scale = math.sqrt(grid.spacing * float(np.sum(raw * raw)))
+    return State(grid, raw / scale)
 
 
 @dataclass(frozen=True)
@@ -180,8 +92,8 @@ class PacketPair:
     before orthogonalization, ``exp(-d^2 / (8 sigma^2))`` in closed form.
     """
 
-    upper: WaveFunction
-    lower: WaveFunction
+    upper: State
+    lower: State
     separation: float
     width: float
     raw_overlap: float
@@ -210,7 +122,7 @@ def _orthogonal_pair(grid: Grid, separation: float, width: float) -> PacketPair:
         raise ValueError(f"separation must be positive, got {separation}")
     g_up = gaussian(grid, +separation / 2, width)
     g_lo = gaussian(grid, -separation / 2, width)
-    overlap = quadrature_inner(g_up, g_lo).real
+    overlap = inner(g_up, g_lo).real
     if overlap > MAX_OVERLAP:
         raise ConditioningError(
             f"raw overlap {overlap:.6f} exceeds {MAX_OVERLAP}; "
@@ -218,15 +130,15 @@ def _orthogonal_pair(grid: Grid, separation: float, width: float) -> PacketPair:
         )
     even = combine(g_up, g_lo, 1.0, 1.0)
     odd = combine(g_up, g_lo, 1.0, -1.0)
-    even = WaveFunction(grid, even.samples / quadrature_norm(even))
-    odd = WaveFunction(grid, odd.samples / quadrature_norm(odd))
+    even = State(grid, even.amplitudes / norm(even))
+    odd = State(grid, odd.amplitudes / norm(odd))
     inv_sqrt2 = 1 / math.sqrt(2)
     upper = combine(even, odd, inv_sqrt2, inv_sqrt2)
     lower = combine(even, odd, inv_sqrt2, -inv_sqrt2)
     return PacketPair(upper, lower, separation, width, overlap)
 
 
-def recombine(pair: PacketPair, phi: float) -> WaveFunction:
+def recombine(pair: PacketPair, phi: float) -> State:
     """Superpose the routes with relative phase: ``(chi_u + e^{i phi} chi_l)/sqrt(2)``.
 
     Because the pair is orthonormal the result has norm 1 for every phase;
@@ -278,18 +190,6 @@ def symmetric_window(grid: Grid, halfwidth: float) -> DetectorWindow:
     lo = grid.edge_value((n - cells) // 2)
     hi = grid.edge_value((n + cells) // 2)
     return DetectorWindow(lo, hi)
-
-
-def window_probability(psi: WaveFunction, window: DetectorWindow) -> float:
-    """Probability of finding the particle inside the window.
-
-    Midpoint quadrature of ``|psi|^2`` over the cells the window covers;
-    exactly additive over any partition of the grid into windows.
-    """
-    if not psi.is_normalized:
-        raise ValueError("window_probability expects a normalized wavefunction")
-    i_lo, i_hi = window_cells(psi.grid, window)
-    return float(psi.grid.spacing * np.sum(psi.density()[i_lo:i_hi]))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,13 @@ from nosignal.audit import (
     receiver_probability_after_sender_measurement,
     sender_projectors,
 )
-from nosignal.measurement import ProjectorSet, three_counter_partition, window_projector
+from nosignal.measurement import (
+    ProjectorSet,
+    probability,
+    three_counter_partition,
+    window_projector,
+)
+from nosignal.modes import Grid, combine, inner, norm
 from nosignal.optics import (
     beam_splitter,
     deflector,
@@ -55,16 +61,12 @@ from nosignal.wavepacket import (
     CALIBRATION_HALFWIDTHS,
     CALIBRATION_SEPARATIONS,
     DetectorWindow,
-    combine,
     default_calibration,
     default_grid,
     gaussian,
     orthogonal_pair,
-    quadrature_inner,
-    quadrature_norm,
     recombine,
     symmetric_window,
-    window_probability,
 )
 
 SWEEP_64 = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
@@ -188,25 +190,26 @@ def test_criterion_5_wavepacket_norm_preservation():
     cal = default_calibration()
     pair = orthogonal_pair(grid, cal.separation, 1.0)
     worst_norm = max(
-        abs(quadrature_norm(recombine(pair, phi)) - 1.0) for phi in SWEEP_64
+        abs(norm(recombine(pair, phi)) - 1.0) for phi in SWEEP_64
     )
 
     completeness = 0.0
     for phi in (0.0, math.pi):
         psi = recombine(pair, phi)
-        p_in = window_probability(psi, cal.window)
-        p_out = window_probability(psi, DetectorWindow(grid.r_min, cal.window.lo))
-        p_out += window_probability(psi, DetectorWindow(cal.window.hi, grid.r_max))
+        left = DetectorWindow(grid.r_min, cal.window.lo)
+        right = DetectorWindow(cal.window.hi, grid.r_max)
+        p_in = probability(psi, window_projector("in", cal.window))
+        p_out = probability(psi, window_projector("out", left, right))
         completeness = max(completeness, abs(p_in + p_out - 1.0))
 
     g_up = gaussian(grid, +cal.separation / 2, 1.0)
     g_lo = gaussian(grid, -cal.separation / 2, 1.0)
-    s = quadrature_inner(g_up, g_lo).real
+    s = inner(g_up, g_lo).real
     raw_dev = 0.0
     for phi in SWEEP_64:
         raw = combine(g_up, g_lo, 1 / math.sqrt(2), np.exp(1j * phi) / math.sqrt(2))
         raw_dev = max(
-            raw_dev, abs(quadrature_norm(raw) - math.sqrt(1 + s * math.cos(phi)))
+            raw_dev, abs(norm(raw) - math.sqrt(1 + s * math.cos(phi)))
         )
 
     ok = worst_norm <= 1e-8 and completeness <= 1e-8 and raw_dev <= 1e-6
@@ -255,10 +258,10 @@ def test_criterion_6_window_discrimination():
     grid = default_grid()
     cal = default_calibration()
     pair = orthogonal_pair(grid, cal.separation, 1.0)
-    p_in_0 = window_probability(recombine(pair, 0.0), cal.window)
-    p_in_pi = window_probability(recombine(pair, math.pi), cal.window)
+    p_in_0 = probability(recombine(pair, 0.0), window_projector("in", cal.window))
+    p_in_pi = probability(recombine(pair, math.pi), window_projector("in", cal.window))
     contrast = min(p_in_0, 1.0 - p_in_pi)
-    node = float(np.abs(recombine(pair, math.pi).samples[grid.n_points // 2]) ** 2)
+    node = float(np.abs(recombine(pair, math.pi).amplitudes[grid.n_points // 2]) ** 2)
 
     exact_0, exact_pi = _closed_form_p_in(cal.separation, cal.window.halfwidth)
     resolution = max(abs(p_in_0 - exact_0), abs(p_in_pi - exact_pi))
@@ -360,14 +363,15 @@ def test_criterion_8_cli_determinism(tmp_path):
 def test_criterion_9_grid_convergence():
     grid = default_grid()
     cal = default_calibration()
-    fine = grid.doubled()
+    fine = Grid(grid.r_min, grid.r_max, 2 * grid.n_points)
+    window = window_projector("in", cal.window)
     worst = 0.0
     for phi in (0.0, math.pi):
-        coarse_p = window_probability(
-            recombine(orthogonal_pair(grid, cal.separation, 1.0), phi), cal.window
+        coarse_p = probability(
+            recombine(orthogonal_pair(grid, cal.separation, 1.0), phi), window
         )
-        fine_p = window_probability(
-            recombine(orthogonal_pair(fine, cal.separation, 1.0), phi), cal.window
+        fine_p = probability(
+            recombine(orthogonal_pair(fine, cal.separation, 1.0), phi), window
         )
         worst = max(worst, abs(coarse_p - fine_p))
     ok = worst <= 1e-6

@@ -31,6 +31,7 @@ from nosignal.measurement import (
     trial_uniforms,
     window_projector,
 )
+from nosignal.modes import norm
 from nosignal.wavepacket import DetectorWindow, default_calibration, default_grid
 
 FROZEN_P_IN_CONSTRUCTIVE = 0.7365556411410185
@@ -64,7 +65,9 @@ class TestBuildInitial:
         )
 
     def test_total_norm_one(self, mz_config):
-        assert build_initial(mz_config).total_norm == pytest.approx(1.0, abs=1e-12)
+        state = build_initial(mz_config)
+        total = abs(state.receiver_amplitude) ** 2 + abs(state.sender_amplitude) ** 2
+        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEvolveSender:
@@ -76,14 +79,16 @@ class TestEvolveSender:
 
     def test_total_norm_preserved(self, density_config):
         evolved = evolve_sender(build_initial(density_config), 1.1, density_config)
-        assert evolved.total_norm == pytest.approx(1.0, abs=1e-8)
+        sender = abs(evolved.sender_amplitude) ** 2 * norm(evolved.sender_state) ** 2
+        total = abs(evolved.receiver_amplitude) ** 2 + sender
+        assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_evolving_twice_at_same_phase_is_idempotent(self, density_config):
         state = build_initial(density_config)
         once = evolve_sender(state, 0.0, density_config)
         twice = evolve_sender(once, 0.0, density_config)
         np.testing.assert_array_equal(
-            once.sender_state.samples, twice.sender_state.samples
+            once.sender_state.amplitudes, twice.sender_state.amplitudes
         )
 
     def test_mz_constructive_all_horizontal(self, mz_config):
@@ -298,6 +303,11 @@ class TestScenarioConfig:
         assert 0.0 in phases
         assert math.pi in phases
         assert len(phases) == 64
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sweep_needs_at_least_one_phase(self, n):
+        with pytest.raises(ValueError, match="at least 1 phase"):
+            default_phase_sweep(n)
 
     def test_density_defaults_loaded_from_calibration(self):
         config = _config(VARIANT_DENSITY)

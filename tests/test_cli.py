@@ -53,6 +53,8 @@ MALFORMED_ELEMENTS = {
     "matrix-not-pairs": (_element("custom", '{"matrix": [[1]]}'), "'matrix'"),
     "matrix-nan": (_element("custom", '{"matrix": [[[NaN, 0]]]}'), "'matrix'"),
     "matrix-strings": (_element("custom", '{"matrix": [[["1", "0"]]]}'), "'matrix'"),
+    "in-null": (_element("mirror", "{}", "[null]"), "nonempty strings"),
+    "in-number": (_element("mirror", "{}", "[1]"), "nonempty strings"),
 }
 
 
@@ -147,6 +149,23 @@ class TestAuditCommand:
         assert report["rows"][0]["trials"] == 250  # flag beats config file
         assert report["seed"] == 5  # config beats built-in default
 
+    def test_integral_float_setting_is_accepted(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"variant": "mach-zehnder", "trials": 250.0}))
+        out = tmp_path / "report.json"
+        result = run_cli("audit", "--config", str(config), "--phi-sweep", "2", "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert json.loads(out.read_text())["rows"][0]["trials"] == 250
+
+    def test_empty_phase_sweep_is_an_error(self, tmp_path):
+        result = run_cli(
+            "audit", "--variant", "mach-zehnder", "--phi-sweep", "0",
+            "--out", str(tmp_path / "out"),
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:") and "at least 1 phase" in result.stderr
+        assert not (tmp_path / "out").exists()
+
 
     # sha256 of `audit --variant mach-zehnder --phi-sweep 16 --trials 20000
     # --seed S` in each format, computed with a binary-search counter: the
@@ -180,6 +199,36 @@ class TestAuditCommand:
         receiver = labels.index(RECEIVER_LABEL)
         first = count_outcomes(probs, trial_uniforms(13, 20000, 14))[receiver] / 20000
         assert abs(first - 0.5) > binomial_band(20000)
+
+
+#: sha256 of each grid-path output, with the exit code: ``(argv, where the
+#: bytes go, exit code, digest)``.  Densities, norms, window probabilities,
+#: the density audit and the calibration scan each feed one of them.
+PINNED_GRID_OUTPUTS = {
+    "density-csv": (("density",), "out", 0,
+                    "ce888845a8d64b6b656ab69a46c944413b4e161167ff857553d451ba55f03693"),
+    "density-phi-json": (("density", "--phi", "1.3", "--format", "json"), "out", 0,
+                         "0a1e46ba736cc758d887b410e17f63fe98ea97e1d0926706bb08d6106640c558"),
+    "density-verify": (("density", "--verify"), "stdout", 0,
+                       "5a138024fa3c2d7d1efe7604b5e01cbb651f6ee55cbdd70271ad884255866ea6"),
+    "audit-density": (
+        ("audit", "--variant", "shiekh-density", "--phi-sweep", "16",
+         "--trials", "2000", "--seed", "5"), "out", 0,
+        "e75d262fc166a03d1975877592bdd925ebe3cdf56023d3c457cc92b3965de49b",
+    ),
+    "calibrate": (("calibrate",), "out", 2,
+                  "384c1b32a1a73f43c761c54177aafd5051509c0cde45d21bb75616323f80ce5d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GRID_OUTPUTS))
+def test_grid_path_bytes_are_pinned(tmp_path, name):
+    argv, channel, code, expected = PINNED_GRID_OUTPUTS[name]
+    out = tmp_path / "out"
+    result = run_cli(*argv, "--out", str(out))
+    assert result.returncode == code, result.stderr
+    data = out.read_bytes() if channel == "out" else result.stdout.encode()
+    assert hashlib.sha256(data).hexdigest() == expected
 
 
 class TestDensityCommand:
@@ -308,11 +357,15 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
         (("density", "--separation", "-1"), None, "separation"),
         (("density", "--phi", "nan"), None, "phase"),
         (("density", "--r-min=-inf"), None, "finite"),
+        (("audit",), {"variant": "mach-zehnder", "trials": 2.7}, "'trials'"),
+        (("audit",), {"variant": "mach-zehnder", "trials": True}, "'trials'"),
+        (("density",), {"sigma": True}, "'sigma'"),
     ],
     ids=[
         "audit-seed-negative", "audit-sigma-nan", "audit-config-trials-string",
         "audit-config-seed-list", "density-config-sigma-list", "density-sigma-zero",
         "density-separation-negative", "density-phi-nan", "density-r-min-infinite",
+        "audit-config-trials-fractional", "audit-config-trials-bool", "density-config-sigma-bool",
     ],
 )
 def test_bad_value_ends_in_an_error_line(tmp_path, argv, config, message):

@@ -23,16 +23,15 @@ from nosignal.measurement import (
     trial_uniforms,
     window_projector,
 )
-from nosignal.modes import make_state
+from nosignal.modes import State, make_state
 from nosignal.wavepacket import (
     DetectorWindow,
-    WaveFunction,
     default_calibration,
     default_grid,
     gaussian,
     orthogonal_pair,
     recombine,
-    window_probability,
+    window_cells,
 )
 
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -60,10 +59,13 @@ def states(grid, calibration):
 
 
 class TestProbability:
-    def test_window_projector_equals_window_probability(self, states, calibration):
+    def test_window_projector_equals_midpoint_sum(self, grid, states, calibration):
+        # bit for bit: h * sum |psi|^2 over the window's cells, squared in numpy
         p = window_projector("in", calibration.window)
+        lo, hi = window_cells(grid, calibration.window)
         for psi in states.values():
-            assert probability(psi, p) == window_probability(psi, calibration.window)
+            expected = float(grid.spacing * np.sum(np.abs(psi.amplitudes)[lo:hi] ** 2))
+            assert probability(psi, p) == expected
 
     def test_mode_projector_on_equal_superposition(self):
         state = make_state([("in", INV_SQRT2), ("far", INV_SQRT2)])
@@ -100,7 +102,7 @@ class TestProbability:
         modes = [("u", INV_SQRT2), ("l", INV_SQRT2)]
         u = mode_projector("u", "u")
         for scale, accepted in ((1 + 2e-8, False), (1 + 2e-7, False), (1 + 1e-9, True)):
-            stretched = WaveFunction(grid, psi.samples * scale)
+            stretched = State(grid, psi.amplitudes * scale)
             state = make_state([(label, a * scale) for label, a in modes])
             for candidate, projector in ((stretched, window), (state, u)):
                 if accepted:
@@ -110,7 +112,7 @@ class TestProbability:
                         probability(candidate, projector)
 
     def test_input_gate_rejects_nan_states(self, grid):
-        nan_wave = WaveFunction(grid, np.full(grid.n_points, math.nan))
+        nan_wave = State(grid, np.full(grid.n_points, math.nan))
         window = window_projector("in", DetectorWindow(-1.0, 1.0))
         nan_modes = make_state([("u", math.nan), ("l", INV_SQRT2)])
         for state, projector in ((nan_wave, window), (nan_modes, mode_projector("u", "u"))):
@@ -132,7 +134,7 @@ class TestReduce:
         p = window_projector("in", calibration.window)
         once = reduce(states["constructive"], p)
         twice = reduce(once, p)
-        np.testing.assert_allclose(twice.samples, once.samples, atol=1e-12)
+        np.testing.assert_allclose(twice.amplitudes, once.amplitudes, atol=1e-12)
 
     def test_mode_reduction_keeps_phase(self):
         state = make_state([("u", 0.6j), ("l", 0.8)])
@@ -246,7 +248,7 @@ class TestSampling:
         first = measure(psi, pset, seed=5)
         again = measure(psi, pset, seed=5)
         assert first[0] == again[0]
-        np.testing.assert_array_equal(first[1].samples, again[1].samples)
+        np.testing.assert_array_equal(first[1].amplitudes, again[1].amplitudes)
 
     def test_certain_outcome(self, grid):
         psi = gaussian(grid, 0.0, 1.0)
@@ -270,7 +272,7 @@ class TestSampling:
         psi = states["constructive"]
         n = 100_000
         counts = sample_outcomes(psi, pset, seed=12, n_trials=n)
-        p = window_probability(psi, calibration.window)
+        p = probability(psi, window_projector("in", calibration.window))
         band = 3 * math.sqrt(p * (1 - p) / n)
         assert counts["in"] / n == pytest.approx(p, abs=band)
 
@@ -280,7 +282,7 @@ class TestSampling:
         psi = states["constructive"]
         n = 2000
         hits = sum(measure(psi, pset, seed=seed)[0] == "in" for seed in range(n))
-        p = window_probability(psi, calibration.window)
+        p = probability(psi, window_projector("in", calibration.window))
         band = 3 * math.sqrt(p * (1 - p) / n)
         assert hits / n == pytest.approx(p, abs=band)
 

@@ -5,11 +5,12 @@ import pytest
 
 from nosignal.modes import (
     DuplicateModeError,
-    ModeState,
+    Grid,
+    State,
+    combine,
     inner,
     make_state,
     norm,
-    superpose,
 )
 
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -18,17 +19,15 @@ INV_SQRT2 = 1 / math.sqrt(2)
 class TestMakeState:
     def test_equal_weight_pair_is_normalized(self):
         state = make_state([("fwd", INV_SQRT2), ("rev", INV_SQRT2)])
-        assert state.is_normalized
         np.testing.assert_allclose(norm(state), 1.0, atol=1e-12)
 
     def test_single_unit_mode(self):
         state = make_state([("u", 1.0)])
-        assert state.is_normalized
+        assert norm(state) == 1.0
         assert state.amplitude("u") == 1.0
 
     def test_unnormalized_pair_flagged(self):
         state = make_state([("u", 1.0), ("l", 1.0)])
-        assert not state.is_normalized
         np.testing.assert_allclose(norm(state), math.sqrt(2), atol=1e-12)
 
     def test_duplicate_label_rejected(self):
@@ -38,6 +37,12 @@ class TestMakeState:
     def test_empty_label_rejected(self):
         with pytest.raises(ValueError):
             make_state([("", 1.0)])
+
+    @pytest.mark.parametrize("label", [1, None, 1.5, b"u", ("u",)])
+    def test_non_string_label_rejected(self, label):
+        # 1 and "1" would otherwise name the same mode
+        with pytest.raises(ValueError, match="nonempty strings"):
+            make_state([(label, 1.0)])
 
     def test_amplitudes_are_read_only(self):
         state = make_state([("u", 1.0)])
@@ -54,11 +59,58 @@ class TestNorm:
         np.testing.assert_allclose(norm(state), 1.0, atol=1e-12)
 
 
+class TestGridBasis:
+    GRID = Grid(-4.0, 4.0, 64)
+
+    def test_weight_is_the_cell_width(self):
+        state = State(self.GRID, np.ones(64))
+        assert state.weight == self.GRID.spacing == 0.125
+        assert make_state([("u", 1.0)]).weight == 1.0
+
+    def test_norm_and_inner_are_midpoint_sums(self):
+        v = np.linspace(-1.0, 1.0, 64) + 0.5j
+        state = State(self.GRID, v)
+        h = self.GRID.spacing
+        assert norm(state) == math.sqrt(h * float(np.sum(np.abs(v) ** 2)))
+        assert inner(state, state) == complex(h * np.sum(np.conj(v) * v))
+
+    def test_amplitude_count_must_match_the_grid(self):
+        with pytest.raises(ValueError, match="expected 64 amplitudes"):
+            State(self.GRID, np.ones(65))
+
+    def test_no_amplitude_by_label(self):
+        with pytest.raises(ValueError, match="no mode labels"):
+            State(self.GRID, np.ones(64)).amplitude("u")
+
+    def test_each_basis_keeps_its_own_density_formula(self):
+        # modes square one amplitude at a time in Python, cells in one numpy
+        # call; the two can differ in the last bit, and reports keep each
+        rng = np.random.default_rng(7)
+        v = rng.normal(size=64) + 1j * rng.normal(size=64)
+        labels = [f"m{i}" for i in range(64)]
+        modes = make_state(list(zip(labels, v))).density()
+        cells = State(self.GRID, v).density()
+        assert modes.tolist() == [abs(a) ** 2 for a in v.tolist()]
+        assert cells.tolist() == (np.abs(v) ** 2).tolist()
+        assert modes.tolist() != cells.tolist()  # so the formulas can be told apart
+
+
 class TestInner:
-    def test_disjoint_labels_are_orthogonal(self):
-        a = make_state([("fwd", 1.0)])
-        b = make_state([("rev", 1.0)])
-        assert inner(a, b) == 0.0
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (make_state([("fwd", 1.0)]), make_state([("rev", 1.0)])),
+            (make_state([("u", 1.0), ("l", 0.0)]), make_state([("l", 0.0), ("u", 1.0)])),
+            (State(Grid(-4.0, 4.0, 64), np.ones(64)), State(Grid(-4.0, 4.0, 128), np.ones(128))),
+            (make_state([("u", 1.0)] + [(f"m{i}", 0.0) for i in range(63)]),
+             State(Grid(-4.0, 4.0, 64), np.ones(64))),
+        ],
+        ids=["disjoint-labels", "reordered-labels", "other-grid", "modes-and-grid"],
+    )
+    def test_different_bases_are_refused(self, a, b):
+        for op in (lambda: inner(a, b), lambda: combine(a, b, 1.0, 1.0)):
+            with pytest.raises(ValueError, match="different bases"):
+                op()
 
     def test_inner_with_self_is_norm_squared(self):
         state = make_state([("u", 0.3 + 0.4j), ("l", 0.5)])
@@ -71,36 +123,37 @@ class TestInner:
 
     def test_conjugate_symmetry(self):
         a = make_state([("u", 0.2 + 0.7j), ("l", -0.1j)])
-        b = make_state([("l", 0.4), ("m", 0.9 - 0.2j)])
+        b = make_state([("u", 0.4), ("l", 0.9 - 0.2j)])
         assert inner(a, b) == pytest.approx(np.conj(inner(b, a)), abs=1e-15)
 
 
 class TestSuperpose:
     def test_phase_pi_combination(self):
-        u = make_state([("u", 1.0)])
-        l = make_state([("l", 1.0)])
-        out = superpose(u, l, INV_SQRT2, np.exp(1j * math.pi) * INV_SQRT2)
+        u = make_state([("u", 1.0), ("l", 0.0)])
+        l = make_state([("u", 0.0), ("l", 1.0)])
+        out = combine(u, l, INV_SQRT2, np.exp(1j * math.pi) * INV_SQRT2)
         np.testing.assert_allclose(out.amplitude("u"), INV_SQRT2, atol=1e-15)
         np.testing.assert_allclose(out.amplitude("l"), -INV_SQRT2, atol=1e-15)
         np.testing.assert_allclose(norm(out), 1.0, atol=1e-12)
 
     def test_identity_combination(self):
         s = make_state([("u", 0.6), ("l", 0.8j)])
-        out = superpose(s, s, 0.5, 0.5)
+        out = combine(s, s, 0.5, 0.5)
         np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-15)
 
     def test_same_mode_constructive_growth(self):
         # adding a state to itself grows the norm: the effect a lossless
         # recombiner would have to hide, which is why none exists
         u = make_state([("u", 1.0)])
-        out = superpose(u, u, INV_SQRT2, INV_SQRT2)
+        out = combine(u, u, INV_SQRT2, INV_SQRT2)
         np.testing.assert_allclose(norm(out), math.sqrt(2), atol=1e-12)
 
 
 def _random_state(rng, labels):
-    chosen = [lbl for lbl in labels if rng.random() < 0.7] or [labels[0]]
-    amps = rng.normal(size=len(chosen)) + 1j * rng.normal(size=len(chosen))
-    return make_state(list(zip(chosen, amps)))
+    # about 30% of the modes carry no amplitude
+    amps = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+    amps[rng.random(len(labels)) >= 0.7] = 0.0
+    return make_state(list(zip(labels, amps)))
 
 
 class TestAlgebraicProperties:
@@ -121,7 +174,7 @@ class TestAlgebraicProperties:
             c = _random_state(rng, self.LABELS)
             x = complex(rng.normal(), rng.normal())
             y = complex(rng.normal(), rng.normal())
-            lhs = inner(a, superpose(b, c, x, y))
+            lhs = inner(a, combine(b, c, x, y))
             rhs = x * inner(a, b) + y * inner(a, c)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -132,25 +185,10 @@ class TestAlgebraicProperties:
             b = _random_state(rng, self.LABELS)
             ca = complex(rng.normal(), rng.normal())
             cb = complex(rng.normal(), rng.normal())
-            combo = superpose(a, b, ca, cb)
+            combo = combine(a, b, ca, cb)
             expected = (
                 abs(ca) ** 2 * norm(a) ** 2
                 + abs(cb) ** 2 * norm(b) ** 2
                 + 2 * (np.conj(ca) * cb * inner(a, b)).real
             )
             assert norm(combo) ** 2 == pytest.approx(expected, abs=1e-12)
-
-
-class TestJsonRoundTrip:
-    def test_schema_and_order(self):
-        state = make_state([("u", 0.5 + 0.25j), ("l", -0.5j)])
-        data = state.to_json_dict()
-        assert [m["label"] for m in data["modes"]] == ["u", "l"]
-        assert data["modes"][0] == {"label": "u", "re": 0.5, "im": 0.25}
-        assert data["modes"][1]["im"] == -0.5
-
-    def test_round_trip(self):
-        state = make_state([("u", 0.5 + 0.25j), ("l", -0.5j), ("m", 0.1)])
-        back = ModeState.from_json_dict(state.to_json_dict())
-        assert back.labels == state.labels
-        np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nosignal.audit import default_phase_sweep
-from nosignal.modes import make_state, norm
+from nosignal.modes import Grid, make_state, norm
 from nosignal.optics import (
     Circuit,
     Element,
@@ -33,6 +33,7 @@ from nosignal.optics import (
     splitter_circuit,
     validate_circuit,
 )
+from nosignal.wavepacket import gaussian
 
 INV_SQRT2 = 1 / math.sqrt(2)
 SWEEP = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
@@ -159,6 +160,11 @@ class TestApply:
         with pytest.raises(WiringError):
             apply(splitter_circuit(0.0), make_state([("elsewhere", 1.0)]))
 
+    def test_grid_state_refused(self):
+        packet = gaussian(Grid(-8.0, 8.0, 64), 0.0, 1.0)
+        with pytest.raises(ValueError, match="mode states"):
+            apply(splitter_circuit(0.0), packet)
+
 
 class TestClosedForms:
     def test_interferometer_output_phi_zero(self):
@@ -206,7 +212,7 @@ class TestClosedForms:
         # circuit must give the same modes and amplitudes
         direct = mz_output(phi)
         circuit = apply(mach_zehnder_circuit(phi), make_state([("in", 1.0)]))
-        assert circuit.labels == direct.labels
+        assert circuit.basis == direct.basis
         np.testing.assert_allclose(
             circuit.amplitudes, direct.amplitudes, rtol=0, atol=1e-12
         )

@@ -6,26 +6,23 @@ import pytest
 from scipy import integrate
 
 from nosignal import wavepacket
+from nosignal.measurement import probability, window_projector
+from nosignal.modes import Grid, combine, inner, norm
 from nosignal.wavepacket import (
     CALIBRATION_HALFWIDTHS,
     CalibrationError,
     ConditioningError,
     DetectorWindow,
-    Grid,
     TruncationError,
     WindowDomainError,
     calibrate,
-    combine,
     default_calibration,
     default_grid,
     gaussian,
     orthogonal_pair,
-    quadrature_inner,
-    quadrature_norm,
     recombine,
     symmetric_window,
     window_cells,
-    window_probability,
 )
 
 SWEEP = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
@@ -49,6 +46,11 @@ def grid():
 def calibrated_pair(grid):
     cal = default_calibration()
     return orthogonal_pair(grid, cal.separation, 1.0)
+
+
+def _in_window(psi, window):
+    """Born probability of finding the particle inside ``window``."""
+    return probability(psi, window_projector("in", window))
 
 
 def _closed_form_window_probs(d, lo, hi, sigma=1.0):
@@ -77,7 +79,7 @@ class TestGrid:
         np.testing.assert_array_equal(r, -r[::-1])
 
     def test_doubling_preserves_cell_edges(self, grid):
-        fine = grid.doubled()
+        fine = Grid(grid.r_min, grid.r_max, 2 * grid.n_points)
         for k in (0, 17, grid.n_points // 2, grid.n_points):
             assert fine.edge_value(2 * k) == grid.edge_value(k)
 
@@ -96,7 +98,7 @@ class TestGrid:
 class TestGaussian:
     def test_normalized_on_modest_grid(self):
         wf = gaussian(Grid(-10.0, 10.0, 2048), 0.0, 1.0)
-        assert abs(quadrature_norm(wf) - 1.0) <= 1e-8
+        assert abs(norm(wf) - 1.0) <= 1e-8
 
     def test_peak_density_matches_normal_pdf(self):
         wf = gaussian(Grid(-10.0, 10.0, 2049), 0.0, 1.0)
@@ -116,13 +118,13 @@ class TestOrthogonalPair:
     def test_overlap_matches_closed_form_at_6_sigma(self, grid):
         pair = orthogonal_pair(grid, 6.0, 1.0)
         assert pair.raw_overlap == pytest.approx(math.exp(-4.5), abs=1e-10)
-        assert abs(quadrature_inner(pair.upper, pair.lower)) <= 1e-10
+        assert abs(inner(pair.upper, pair.lower)) <= 1e-10
 
     def test_orthonormal_at_2_sigma(self, grid):
         pair = orthogonal_pair(grid, 2.0, 1.0)
-        assert abs(quadrature_inner(pair.upper, pair.lower)) <= 1e-10
-        assert abs(quadrature_norm(pair.upper) - 1.0) <= 1e-8
-        assert abs(quadrature_norm(pair.lower) - 1.0) <= 1e-8
+        assert abs(inner(pair.upper, pair.lower)) <= 1e-10
+        assert abs(norm(pair.upper) - 1.0) <= 1e-8
+        assert abs(norm(pair.lower) - 1.0) <= 1e-8
 
     def test_wide_separation_approaches_raw_gaussian(self, grid):
         # the residual mixing is overlap/2 ~ 1.9e-6 at d = 10 sigma, so the
@@ -130,16 +132,16 @@ class TestOrthogonalPair:
         # d = 12 sigma
         pair = orthogonal_pair(grid, 10.0, 1.0)
         raw = gaussian(grid, 5.0, 1.0)
-        dev = float(np.max(np.abs(pair.upper.samples - raw.samples)))
+        dev = float(np.max(np.abs(pair.upper.amplitudes - raw.amplitudes)))
         assert dev == pytest.approx(1.1769099398823287e-06, rel=1e-6)
         far = orthogonal_pair(grid, 12.0, 1.0)
         raw_far = gaussian(grid, 6.0, 1.0)
-        assert float(np.max(np.abs(far.upper.samples - raw_far.samples))) <= 1e-8
+        assert float(np.max(np.abs(far.upper.amplitudes - raw_far.amplitudes))) <= 1e-8
 
     def test_mirror_symmetry(self, grid):
         pair = orthogonal_pair(grid, 1.7, 1.0)
         np.testing.assert_allclose(
-            pair.upper.samples, pair.lower.samples[::-1], atol=1e-10
+            pair.upper.amplitudes, pair.lower.amplitudes[::-1], atol=1e-10
         )
 
     def test_localization_on_own_half_axis(self, grid):
@@ -147,7 +149,7 @@ class TestOrthogonalPair:
         for d in (0.5, 1.0, 2.0, 4.0):
             pair = orthogonal_pair(grid, d, 1.0)
             mass = grid.spacing * float(
-                np.sum(np.abs(pair.upper.samples[positive]) ** 2)
+                np.sum(np.abs(pair.upper.amplitudes[positive]) ** 2)
             )
             assert mass >= 1.0 - pair.raw_overlap
 
@@ -163,21 +165,22 @@ class TestOrthogonalPair:
     def test_same_geometry_returns_the_same_read_only_pair(self, grid):
         pair = orthogonal_pair(grid, 1.25, 1.0)
         assert orthogonal_pair(grid, 1.25, 1.0) is pair
-        assert not pair.upper.samples.flags.writeable
-        assert not pair.lower.samples.flags.writeable
+        assert not pair.upper.amplitudes.flags.writeable
+        assert not pair.lower.amplitudes.flags.writeable
 
     def test_other_geometry_returns_another_pair(self, grid):
         pair = orthogonal_pair(grid, 1.25, 1.0)
         other_separation = orthogonal_pair(grid, 1.5, 1.0)
         assert other_separation is not pair
         assert other_separation.separation == 1.5
-        other_grid = orthogonal_pair(grid.doubled(), 1.25, 1.0)
+        fine = Grid(grid.r_min, grid.r_max, 2 * grid.n_points)
+        other_grid = orthogonal_pair(fine, 1.25, 1.0)
         assert other_grid is not pair
-        assert other_grid.upper.grid == grid.doubled()
+        assert other_grid.upper.basis == fine
         # one entry is kept, so returning to the first geometry rebuilds it
         rebuilt = orthogonal_pair(grid, 1.25, 1.0)
         assert rebuilt is not pair
-        np.testing.assert_array_equal(rebuilt.upper.samples, pair.upper.samples)
+        np.testing.assert_array_equal(rebuilt.upper.amplitudes, pair.upper.amplitudes)
 
     def test_orthogonal_pair_stays_a_plain_function(self):
         # call tracers wrap plain module functions only
@@ -187,16 +190,16 @@ class TestOrthogonalPair:
 class TestRecombine:
     def test_constructive_profile_is_even(self, calibrated_pair):
         psi = recombine(calibrated_pair, 0.0)
-        np.testing.assert_allclose(psi.samples, psi.samples[::-1], atol=1e-10)
+        np.testing.assert_allclose(psi.amplitudes, psi.amplitudes[::-1], atol=1e-10)
 
     def test_destructive_profile_is_odd_with_central_node(self, grid, calibrated_pair):
         psi = recombine(calibrated_pair, math.pi)
-        np.testing.assert_allclose(psi.samples, -psi.samples[::-1], atol=1e-10)
-        assert abs(psi.samples[grid.n_points // 2]) ** 2 <= 1e-12
+        np.testing.assert_allclose(psi.amplitudes, -psi.amplitudes[::-1], atol=1e-10)
+        assert abs(psi.amplitudes[grid.n_points // 2]) ** 2 <= 1e-12
 
     @pytest.mark.parametrize("phi", SWEEP)
     def test_norm_one_for_every_phase(self, calibrated_pair, phi):
-        assert abs(quadrature_norm(recombine(calibrated_pair, phi)) - 1.0) <= 1e-8
+        assert abs(norm(recombine(calibrated_pair, phi)) - 1.0) <= 1e-8
 
     def test_raw_gaussian_recombination_breaks_the_norm(self, grid):
         # without orthogonalization the norm comes out sqrt(1 + s cos phi):
@@ -204,18 +207,18 @@ class TestRecombine:
         d = 1.5
         g_up = gaussian(grid, +d / 2, 1.0)
         g_lo = gaussian(grid, -d / 2, 1.0)
-        s = quadrature_inner(g_up, g_lo).real
+        s = inner(g_up, g_lo).real
         for phi in SWEEP:
             raw = combine(g_up, g_lo, 1 / math.sqrt(2), np.exp(1j * phi) / math.sqrt(2))
             expected = math.sqrt(1 + s * math.cos(phi))
-            assert quadrature_norm(raw) == pytest.approx(expected, abs=1e-6)
+            assert norm(raw) == pytest.approx(expected, abs=1e-6)
 
 
 class TestWindowProbability:
     def test_whole_grid_is_one(self, grid, calibrated_pair):
         psi = recombine(calibrated_pair, 0.0)
         whole = DetectorWindow(grid.r_min, grid.r_max)
-        assert window_probability(psi, whole) == pytest.approx(1.0, abs=1e-8)
+        assert _in_window(psi, whole) == pytest.approx(1.0, abs=1e-8)
 
     def test_complement_completeness_random_windows(self, grid, calibrated_pair):
         psi = recombine(calibrated_pair, math.pi)
@@ -226,14 +229,14 @@ class TestWindowProbability:
                 continue
             window = DetectorWindow(float(lo), float(hi))
             i_lo, i_hi = window_cells(grid, window)
-            p_in = window_probability(psi, window)
+            p_in = _in_window(psi, window)
             p_out = 0.0
             if i_lo > 0:
-                p_out += window_probability(
+                p_out += _in_window(
                     psi, DetectorWindow(grid.r_min, grid.edge_value(i_lo))
                 )
             if i_hi < grid.n_points:
-                p_out += window_probability(
+                p_out += _in_window(
                     psi, DetectorWindow(grid.edge_value(i_hi), grid.r_max)
                 )
             assert p_in + p_out == pytest.approx(1.0, abs=1e-8)
@@ -241,7 +244,7 @@ class TestWindowProbability:
     def test_narrow_window_on_destructive_profile(self, grid):
         pair = orthogonal_pair(grid, 2.0, 1.0)
         psi = recombine(pair, math.pi)
-        value = window_probability(psi, DetectorWindow(-0.25, 0.25))
+        value = _in_window(psi, DetectorWindow(-0.25, 0.25))
         assert value == pytest.approx(0.003114261876497259, rel=1e-9)
         assert value <= 0.05
         # continuum oracle over the same snapped interval
@@ -254,18 +257,18 @@ class TestWindowProbability:
     def test_window_outside_grid_rejected(self, grid, calibrated_pair):
         psi = recombine(calibrated_pair, 0.0)
         with pytest.raises(WindowDomainError):
-            window_probability(psi, DetectorWindow(grid.r_min - 1.0, 0.0))
+            _in_window(psi, DetectorWindow(grid.r_min - 1.0, 0.0))
 
     def test_unnormalized_state_rejected(self, grid):
         psi = gaussian(grid, 0.0, 1.0)
         doubled = combine(psi, psi, 1.0, 1.0)
         with pytest.raises(ValueError, match="normalized"):
-            window_probability(doubled, DetectorWindow(-1.0, 1.0))
+            _in_window(doubled, DetectorWindow(-1.0, 1.0))
 
     def test_vanishing_window_has_vanishing_probability(self, grid, calibrated_pair):
         psi = recombine(calibrated_pair, 0.0)
         tiny = symmetric_window(grid, 1e-9)
-        assert window_probability(psi, tiny) <= 0.01
+        assert _in_window(psi, tiny) <= 0.01
 
 
 class TestCalibrate:
@@ -305,8 +308,8 @@ class TestCalibrate:
         for halfwidth in np.linspace(0.1, 11.0, 150):
             window = symmetric_window(grid, float(halfwidth))
             contrast = min(
-                window_probability(psi0, window),
-                1 - window_probability(psi_pi, window),
+                _in_window(psi0, window),
+                1 - _in_window(psi_pi, window),
             )
             best = max(best, contrast)
         assert best <= 0.6
@@ -323,12 +326,12 @@ class TestCalibrate:
 class TestGridConvergence:
     def test_doubling_changes_window_probabilities_below_tolerance(self, grid):
         cal = default_calibration()
-        fine = grid.doubled()
+        fine = Grid(grid.r_min, grid.r_max, 2 * grid.n_points)
         for phi in (0.0, math.pi):
-            coarse_p = window_probability(
+            coarse_p = _in_window(
                 recombine(orthogonal_pair(grid, cal.separation, 1.0), phi), cal.window
             )
-            fine_p = window_probability(
+            fine_p = _in_window(
                 recombine(orthogonal_pair(fine, cal.separation, 1.0), phi), cal.window
             )
             assert abs(coarse_p - fine_p) <= 1e-6
