@@ -30,7 +30,7 @@ cal = default_calibration()
 pair = orthogonal_pair(grid, cal.separation, 1.0)
 
 # --- Born probabilities for the counter window ----------------------------
-counter = window_projector("in", cal.window)
+counter = window_projector("in", grid, cal.window)
 for phi, name in ((0.0, "constructive"), (math.pi, "destructive")):
     psi = recombine(pair, phi)
     print(f"{name}: P(counter fires) = {probability(psi, counter):.4f}")

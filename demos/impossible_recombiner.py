@@ -23,7 +23,6 @@ from nosignal import (
     is_isometry,
     load_bundled_circuit,
     make_state,
-    matrix_of,
     norm,
     splitter_circuit,
     validate_circuit,
@@ -40,7 +39,7 @@ for name, circuit in (
 
 for phi in (0.0, math.pi / 3, math.pi):
     element = hypothetical_canceller(("u", "l"), "merged", phi)
-    ok, dev = is_isometry(matrix_of(element))
+    ok, dev = is_isometry(element.transfer)
     print(f"  canceller(phi={phi:.3f}): isometry = {ok}, deviation = {dev:.3f}")
 
 print("\nvalidator report for the canceller circuit:")

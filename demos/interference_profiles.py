@@ -61,7 +61,7 @@ center = grid.n_points // 2
 print(f"\ndensity at r=0:  constructive {psi0.density()[center]:.4f}, "
       f"destructive {psi_pi.density()[center]:.2e} (exact node)")
 
-counter = window_projector("in", cal.window)
+counter = window_projector("in", grid, cal.window)
 p0 = probability(psi0, counter)
 p_pi = probability(psi_pi, counter)
 print(f"counter-window probability: constructive {p0:.4f}, destructive {p_pi:.4f}")
@@ -69,8 +69,8 @@ print(f"contrast min(P0, 1 - Ppi) = {min(p0, 1 - p_pi):.4f} "
       "(Gaussian-packet ceiling is 0.7385)")
 
 # --- probability moves to the complement, it never disappears ------------
-left = window_projector("left", DetectorWindow(grid.r_min, cal.window.lo))
-right = window_projector("right", DetectorWindow(cal.window.hi, grid.r_max))
+left = window_projector("left", grid, DetectorWindow(grid.r_min, cal.window.lo))
+right = window_projector("right", grid, DetectorWindow(cal.window.hi, grid.r_max))
 for name, psi in (("constructive", psi0), ("destructive", psi_pi)):
     outside = probability(psi, left) + probability(psi, right)
     inside = probability(psi, counter)

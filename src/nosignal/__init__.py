@@ -51,7 +51,6 @@ from .optics import (
     is_isometry,
     load_bundled_circuit,
     mach_zehnder_circuit,
-    matrix_of,
     mirror,
     mz_output,
     phase_shifter,

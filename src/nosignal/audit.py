@@ -23,7 +23,7 @@ which is exactly why the scheme looks like a transmitter and is not one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,9 +77,10 @@ class ScenarioConfig:
     trials: int = 10_000
     seed: int = 0
     sigma: float = 1.0
-    grid: Grid | None = None
-    separation: float | None = None
-    window: DetectorWindow | None = None
+    # the density variant's frozen calibration, scaled by sigma; not settable
+    grid: Grid | None = field(init=False, default=None)
+    separation: float | None = field(init=False, default=None)
+    window: DetectorWindow | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -96,12 +97,9 @@ class ScenarioConfig:
         object.__setattr__(self, "phases", phases)
         if self.variant == VARIANT_DENSITY:
             cal = default_calibration(self.sigma)
-            if self.grid is None:
-                object.__setattr__(self, "grid", default_grid(self.sigma))
-            if self.separation is None:
-                object.__setattr__(self, "separation", cal.separation)
-            if self.window is None:
-                object.__setattr__(self, "window", cal.window)
+            object.__setattr__(self, "grid", default_grid(self.sigma))
+            object.__setattr__(self, "separation", cal.separation)
+            object.__setattr__(self, "window", cal.window)
 
 
 def default_phase_sweep(n: int = 64) -> tuple[float, ...]:
@@ -151,7 +149,8 @@ def receiver_probability(state: CompositeState) -> float:
 def sender_projectors(config: ScenarioConfig) -> ProjectorSet:
     """The sender's canonical complete detector partition for the variant."""
     if config.variant == VARIANT_MACH_ZEHNDER:
-        return ProjectorSet((mode_projector("H", "H"), mode_projector("V", "V")))
+        basis = ("H", "V")
+        return ProjectorSet((mode_projector("H", basis, "H"), mode_projector("V", basis, "V")))
     return pair_partition(config.window, config.grid)
 
 
@@ -214,15 +213,6 @@ class AuditRow:
     receiver_empirical: float
     trials: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "phi": self.phi,
-            "sender": dict(self.sender),
-            "receiver_analytic": self.receiver_analytic,
-            "receiver_empirical": self.receiver_empirical,
-            "trials": self.trials,
-        }
-
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -239,13 +229,7 @@ class AuditReport:
     verdict: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "seed": self.seed,
-            "rows": [row.to_json_dict() for row in self.rows],
-            "max_deviation": self.max_deviation,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def binomial_band(trials: int, p: float = 0.5) -> float:

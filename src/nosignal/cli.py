@@ -232,12 +232,13 @@ def cmd_density(args) -> int:
         states = {phi: psi}
     _write_output(args.out, _density_text(grid, columns, fmt))
     if args.verify:
+        counter = measurement.window_projector("in", grid, window)
         for phi, psi in states.items():
             total = modes.norm(psi) ** 2
             if abs(total - 1.0) > NORM_TOL:
                 print(f"verify: phi={phi} integral {total!r} != 1", file=sys.stderr)
                 return USAGE_ERROR
-            p_in = measurement.probability(psi, measurement.window_projector("in", window))
+            p_in = measurement.probability(psi, counter)
             sender = {"in": 0.5 * p_in, "out": 0.5 * (1.0 - p_in)}
             print(json.dumps({"phi": phi, "sender": sender}))
     return 0

@@ -1,15 +1,12 @@
 """Projective measurement with state reduction and seeded outcome sampling.
 
-Projectors target either detector windows on a grid (resolved to exact
-cell ranges, so the Born rule over a partition is exactly additive) or
-subsets of mode labels.  Either way the state is one
-:class:`~nosignal.modes.State`, a complex vector with a weight per index
-(1 per mode, the cell width per grid cell), and the projector keeps some
-index ranges of it; :func:`_resolve` is the one place a projector is
-matched to the state's basis.  Measuring collapses the state onto
-the observed projector's range and renormalizes; an outcome whose
-probability is below ``REDUCTION_EPS`` cannot be conditioned on and raises
-instead.
+A projector keeps ``[lo, hi)`` index ranges of one basis, the basis a
+:class:`~nosignal.modes.State` lives on.  A detector window resolves once,
+at construction, to the grid cells it covers, so the Born rule over a
+partition is exactly additive; a set of mode labels resolves to their
+indices.  Measuring collapses the state onto the observed projector's
+ranges and renormalizes; an outcome whose probability is below
+``REDUCTION_EPS`` cannot be conditioned on and raises instead.
 
 Sampling is inverse-CDF with one uniform draw per trial.  The uniforms
 come from a counter-based generator keyed by ``(seed, stream)``: trial
@@ -24,17 +21,15 @@ still takes the outcome draw ``i`` selects.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .modes import Grid, State
+from .modes import Grid, State, check_basis, check_labels
 from .tolerances import COMPLETENESS_TOL, NORM_TOL, REDUCTION_EPS
 from .wavepacket import DetectorWindow, window_cells
-
-
-class ProjectorDomainError(ValueError):
-    """Projector and basis disagree: windows need a grid basis, modes a label basis."""
 
 
 class ZeroNormReductionError(ValueError):
@@ -49,66 +44,66 @@ class IncompleteProjectorSetError(ValueError):
     """The projectors do not cover the state (probabilities sum below 1)."""
 
 
+def _overlap(ranges) -> bool:
+    spans = sorted(ranges)
+    return any(lo < hi for (_, hi), (lo, _) in zip(spans, spans[1:]))
+
+
 @dataclass(frozen=True)
 class Projector:
-    """Projection onto detector windows or onto a subset of modes.
+    """Projection onto pairwise-disjoint ``[lo, hi)`` index ranges of one basis.
 
-    Window projectors may carry several pairwise-disjoint windows, which is
-    how the complement of an interval ("everything left and right of the
-    counter") is expressed.
+    ``basis`` is a mode-label tuple or a :class:`Grid`, as on a state.  Several
+    ranges express the complement of an interval ("everything left and right
+    of the counter").  They are kept in index order, the order Born sums run;
+    empty ones are dropped.
     """
 
     label: str
-    windows: tuple[DetectorWindow, ...] | None = None
-    modes: frozenset[str] | None = None
+    basis: tuple[str, ...] | Grid
+    ranges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if (self.windows is None) == (self.modes is None):
-            raise ValueError("projector targets either windows or modes")
         if not self.label:
             raise ValueError("projector needs a nonempty outcome label")
-        if self.windows is not None:
-            spans = sorted(self.windows, key=lambda w: w.lo)
-            for left, right in zip(spans, spans[1:]):
-                if right.lo < left.hi:
-                    raise ValueError("projector windows must be disjoint")
-            object.__setattr__(self, "windows", tuple(spans))
+        basis, size = check_basis(self.basis)
+        ranges = tuple(sorted((operator.index(lo), operator.index(hi)) for lo, hi in self.ranges))
+        if not all(0 <= lo <= hi <= size for lo, hi in ranges):
+            raise ValueError(f"projector {self.label!r} ranges {ranges} leave [0, {size})")
+        ranges = tuple((lo, hi) for lo, hi in ranges if lo < hi)
+        if _overlap(ranges):
+            raise ValueError(f"projector {self.label!r} ranges overlap")
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "ranges", ranges)
 
 
-def window_projector(label: str, *windows: DetectorWindow) -> Projector:
-    return Projector(label, windows=tuple(windows))
+def window_projector(label: str, grid: Grid, *windows: DetectorWindow) -> Projector:
+    """Projector onto the grid cells the windows cover."""
+    return Projector(label, grid, tuple(window_cells(grid, w) for w in windows))
 
 
-def mode_projector(label: str, *modes: str) -> Projector:
-    return Projector(label, modes=frozenset(modes))
+def mode_projector(label: str, basis: Sequence[str], *modes: str) -> Projector:
+    """Projector onto the named modes of a label basis; each must be in it."""
+    basis = check_labels(basis)
+    missing = sorted(set(modes) - set(basis))
+    if missing:
+        raise ValueError(f"modes {missing} are not in the basis {basis}")
+    return Projector(label, basis, tuple((i, i + 1) for i, m in enumerate(basis) if m in modes))
 
 
-def _resolve(state: State, projector: Projector) -> list[tuple[int, int]]:
-    """The ``[lo, hi)`` index ranges of ``state`` that the projector keeps.
-
-    One range per mode in label order, or one per window in window order;
-    Born sums run in that order.
-    """
-    on_grid = isinstance(state.basis, Grid)
-    if on_grid and projector.windows is not None:
-        return [window_cells(state.basis, w) for w in projector.windows]
-    if not on_grid and projector.modes is not None:
-        return [(i, i + 1) for i, label in enumerate(state.basis) if label in projector.modes]
-    kind = "mode" if projector.windows is None else "window"
-    basis = "grid" if on_grid else "mode"
-    raise ProjectorDomainError(f"{kind} projector applied to a {basis} state")
-
-
-def _born(state: State, kept: list[list[tuple[int, int]]]) -> list[float]:
-    """Born probability of each :func:`_resolve` result; one density, one gate."""
+def _born(state: State, projectors) -> list[float]:
+    """Born probability of each projector on ``state``; one density, one gate."""
+    for projector in projectors:
+        if projector.basis != state.basis:
+            raise ValueError(f"projector {projector.label!r} is not on the state's basis")
     weight = state.weight
     density = state.density()
     norm = math.sqrt(weight * float(np.sum(density)))
     if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"state is not normalized (norm {norm:.9f})")
     return [
-        float(sum(weight * np.sum(density[lo:hi]) for lo, hi in ranges))
-        for ranges in kept
+        float(sum(weight * np.sum(density[lo:hi]) for lo, hi in projector.ranges))
+        for projector in projectors
     ]
 
 
@@ -117,27 +112,26 @@ def probability(state: State, projector: Projector) -> float:
 
     Rejects a state whose norm is more than ``NORM_TOL`` away from 1.
     """
-    return _born(state, [_resolve(state, projector)])[0]
+    return _born(state, [projector])[0]
 
 
 def reduce(state: State, projector: Projector) -> State:
     """Collapse: ``P|psi> / ||P|psi>||``, an eigenstate of ``P`` afterwards."""
-    ranges = _resolve(state, projector)
-    p = _born(state, [ranges])[0]
+    p = probability(state, projector)
     if p < REDUCTION_EPS:
         raise ZeroNormReductionError(
             f"outcome {projector.label!r} has probability {p:.3e} < {REDUCTION_EPS}"
         )
     scale = 1.0 / math.sqrt(p)
     collapsed = np.zeros_like(state.amplitudes)
-    for lo, hi in ranges:
+    for lo, hi in projector.ranges:
         collapsed[lo:hi] = state.amplitudes[lo:hi] * scale
     return State(state.basis, collapsed)
 
 
 @dataclass(frozen=True)
 class ProjectorSet:
-    """Ordered, pairwise-orthogonal projectors meant to cover the whole state."""
+    """Ordered, pairwise-orthogonal projectors on one basis, meant to cover the state."""
 
     projectors: tuple[Projector, ...]
 
@@ -148,9 +142,10 @@ class ProjectorSet:
         labels = [p.label for p in projectors]
         if len(set(labels)) != len(labels):
             raise ValueError("projector outcome labels must be distinct")
-        kinds = {p.windows is None for p in projectors}
-        if len(kinds) != 1:
-            raise ValueError("cannot mix window and mode projectors in one set")
+        if any(p.basis != projectors[0].basis for p in projectors):
+            raise ValueError("projectors in one set must share one basis")
+        if _overlap(r for p in projectors for r in p.ranges):
+            raise ValueError("projectors overlap between outcomes")
         object.__setattr__(self, "projectors", projectors)
 
     @property
@@ -158,12 +153,8 @@ class ProjectorSet:
         return tuple(p.label for p in self.projectors)
 
     def probabilities(self, state: State) -> np.ndarray:
-        """Per-outcome Born probabilities; raises if outcomes overlap or miss."""
-        kept = [_resolve(state, p) for p in self.projectors]
-        spans = sorted((lo, hi) for ranges in kept for lo, hi in ranges if lo < hi)
-        if any(lo < hi for (_, hi), (lo, _) in zip(spans, spans[1:])):
-            raise ValueError("projectors overlap between outcomes")
-        probs = np.array(_born(state, kept))
+        """Per-outcome Born probabilities; raises if the outcomes miss part of the state."""
+        probs = np.array(_born(state, self.projectors))
         if not probs.sum() >= 1.0 - COMPLETENESS_TOL:
             raise IncompleteProjectorSetError(
                 f"outcome probabilities sum to {probs.sum():.9f} < 1; "
@@ -204,14 +195,11 @@ def three_counter_partition(window: DetectorWindow, grid: Grid) -> ProjectorSet:
     i_lo, i_hi = window_cells(grid, window)
     if i_lo == 0 or i_hi == grid.n_points:
         raise ValueError("window must leave room for side counters")
-    left = DetectorWindow(grid.edge_value(0), grid.edge_value(i_lo))
-    middle = DetectorWindow(grid.edge_value(i_lo), grid.edge_value(i_hi))
-    right = DetectorWindow(grid.edge_value(i_hi), grid.edge_value(grid.n_points))
     return ProjectorSet(
         (
-            window_projector("left", left),
-            window_projector("in", middle),
-            window_projector("right", right),
+            Projector("left", grid, ((0, i_lo),)),
+            Projector("in", grid, ((i_lo, i_hi),)),
+            Projector("right", grid, ((i_hi, grid.n_points),)),
         )
     )
 
@@ -219,16 +207,11 @@ def three_counter_partition(window: DetectorWindow, grid: Grid) -> ProjectorSet:
 def pair_partition(window: DetectorWindow, grid: Grid) -> ProjectorSet:
     """{counter, complement} partition: P_in and P_out."""
     i_lo, i_hi = window_cells(grid, window)
-    middle = DetectorWindow(grid.edge_value(i_lo), grid.edge_value(i_hi))
-    outside = []
-    if i_lo > 0:
-        outside.append(DetectorWindow(grid.edge_value(0), grid.edge_value(i_lo)))
-    if i_hi < grid.n_points:
-        outside.append(
-            DetectorWindow(grid.edge_value(i_hi), grid.edge_value(grid.n_points))
-        )
     return ProjectorSet(
-        (window_projector("in", middle), window_projector("out", *outside))
+        (
+            Projector("in", grid, ((i_lo, i_hi),)),
+            Projector("out", grid, ((0, i_lo), (i_hi, grid.n_points))),
+        )
     )
 
 

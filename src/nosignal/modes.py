@@ -18,6 +18,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+#: Most cells a grid may have: 16 MiB per complex amplitude vector.
+MAX_GRID_POINTS = 2**20
+
+
 class DuplicateModeError(ValueError):
     """A mode label appears more than once on a single state or matrix axis."""
 
@@ -44,12 +48,16 @@ class Grid:
     n_points: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
+        # a non-finite bound, or finite bounds whose span overflows
+        if not math.isfinite(self.r_max - self.r_min):
             raise ValueError(f"grid bounds must be finite, got [{self.r_min}, {self.r_max}]")
         if not self.r_min < self.r_max:
             raise ValueError("grid requires r_min < r_max")
-        if self.n_points < 64:
-            raise ValueError("grid requires at least 64 points")
+        n = self.n_points
+        if not (type(n) is int and 64 <= n <= MAX_GRID_POINTS):
+            raise ValueError(
+                f"grid n_points must be an integer in [64, {MAX_GRID_POINTS}], got {n!r}"
+            )
 
     @property
     def spacing(self) -> float:
@@ -79,6 +87,14 @@ class Grid:
         return int(min(max(round(raw), 0), self.n_points))
 
 
+def check_basis(basis) -> tuple[tuple[str, ...] | Grid, int]:
+    """A basis and its size: a grid as it is, or validated mode labels."""
+    if isinstance(basis, Grid):
+        return basis, basis.n_points
+    labels = check_labels(basis)
+    return labels, len(labels)
+
+
 @dataclass(frozen=True)
 class State:
     """Amplitudes over a basis: distinct mode labels, or the cells of a grid.
@@ -93,11 +109,8 @@ class State:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if isinstance(self.basis, Grid):
-            size = self.basis.n_points
-        else:
-            object.__setattr__(self, "basis", check_labels(self.basis))
-            size = len(self.basis)
+        basis, size = check_basis(self.basis)
+        object.__setattr__(self, "basis", basis)
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.shape != (size,):
             raise ValueError(f"expected {size} amplitudes, got shape {amps.shape}")

@@ -199,11 +199,6 @@ def custom_element(
     return Element("custom", tuple(inputs), tuple(outputs), {"matrix": rows})
 
 
-def matrix_of(element: Element) -> TransferMatrix:
-    """Transfer matrix of a single element."""
-    return element.transfer
-
-
 def is_isometry(matrix: TransferMatrix) -> tuple[bool, float]:
     """Check ``M^dag M = I`` on the input modes.
 

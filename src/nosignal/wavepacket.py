@@ -181,6 +181,8 @@ def window_cells(grid: Grid, window: DetectorWindow) -> tuple[int, int]:
 
 def symmetric_window(grid: Grid, halfwidth: float) -> DetectorWindow:
     """Centered window snapped to cell edges, symmetric about the grid center."""
+    if not (math.isfinite(halfwidth) and halfwidth > 0):
+        raise ValueError(f"halfwidth must be a positive finite number, got {halfwidth}")
     n = grid.n_points
     if n % 2:
         m = max(0, round(halfwidth / grid.spacing - 0.5))

@@ -51,7 +51,6 @@ from nosignal.optics import (
     interferometer_output,
     is_isometry,
     load_bundled_circuit,
-    matrix_of,
     mirror,
     mz_output,
     phase_shifter,
@@ -114,6 +113,7 @@ def test_criterion_2_measurement_invariance():
                     partitions.append(ProjectorSet(tuple(
                         window_projector(
                             f"w{i}",
+                            grid,
                             DetectorWindow(grid.edge_value(a), grid.edge_value(b)),
                         )
                         for i, (a, b) in enumerate(zip(edges, edges[1:]))
@@ -161,12 +161,12 @@ def test_criterion_4_unitarity():
         phase_shifter("a", 0.0),
         phase_shifter("a", math.pi),
     ]
-    elements_ok = all(is_isometry(matrix_of(e))[0] for e in physical_elements)
+    elements_ok = all(is_isometry(e.transfer)[0] for e in physical_elements)
     bundled = load_bundled_circuit("shiekh")
     bundled_ok = validate_circuit(bundled).physical
 
     canceller_devs = [
-        is_isometry(matrix_of(hypothetical_canceller(("a", "b"), "o", phi)))[1]
+        is_isometry(hypothetical_canceller(("a", "b"), "o", phi).transfer)[1]
         for phi in SWEEP_64
     ]
     canceller_ok = all(abs(d - 0.5) <= 1e-12 for d in canceller_devs)
@@ -198,8 +198,8 @@ def test_criterion_5_wavepacket_norm_preservation():
         psi = recombine(pair, phi)
         left = DetectorWindow(grid.r_min, cal.window.lo)
         right = DetectorWindow(cal.window.hi, grid.r_max)
-        p_in = probability(psi, window_projector("in", cal.window))
-        p_out = probability(psi, window_projector("out", left, right))
+        p_in = probability(psi, window_projector("in", grid, cal.window))
+        p_out = probability(psi, window_projector("out", grid, left, right))
         completeness = max(completeness, abs(p_in + p_out - 1.0))
 
     g_up = gaussian(grid, +cal.separation / 2, 1.0)
@@ -258,8 +258,9 @@ def test_criterion_6_window_discrimination():
     grid = default_grid()
     cal = default_calibration()
     pair = orthogonal_pair(grid, cal.separation, 1.0)
-    p_in_0 = probability(recombine(pair, 0.0), window_projector("in", cal.window))
-    p_in_pi = probability(recombine(pair, math.pi), window_projector("in", cal.window))
+    window = window_projector("in", grid, cal.window)
+    p_in_0 = probability(recombine(pair, 0.0), window)
+    p_in_pi = probability(recombine(pair, math.pi), window)
     contrast = min(p_in_0, 1.0 - p_in_pi)
     node = float(np.abs(recombine(pair, math.pi).amplitudes[grid.n_points // 2]) ** 2)
 
@@ -364,14 +365,15 @@ def test_criterion_9_grid_convergence():
     grid = default_grid()
     cal = default_calibration()
     fine = Grid(grid.r_min, grid.r_max, 2 * grid.n_points)
-    window = window_projector("in", cal.window)
     worst = 0.0
     for phi in (0.0, math.pi):
         coarse_p = probability(
-            recombine(orthogonal_pair(grid, cal.separation, 1.0), phi), window
+            recombine(orthogonal_pair(grid, cal.separation, 1.0), phi),
+            window_projector("in", grid, cal.window),
         )
         fine_p = probability(
-            recombine(orthogonal_pair(fine, cal.separation, 1.0), phi), window
+            recombine(orthogonal_pair(fine, cal.separation, 1.0), phi),
+            window_projector("in", fine, cal.window),
         )
         worst = max(worst, abs(coarse_p - fine_p))
     ok = worst <= 1e-6

@@ -169,7 +169,7 @@ class TestSenderMeasurement:
         grid = default_grid()
         evolved = evolve_sender(build_initial(density_config), 0.3, density_config)
         whole = ProjectorSet(
-            (window_projector("all", DetectorWindow(grid.r_min, grid.r_max)),)
+            (window_projector("all", grid, DetectorWindow(grid.r_min, grid.r_max)),)
         )
         after = receiver_probability_after_sender_measurement(evolved, whole)
         assert after == pytest.approx(receiver_probability(evolved), abs=1e-8)
@@ -188,6 +188,7 @@ class TestSenderMeasurement:
                 tuple(
                     window_projector(
                         f"w{i}",
+                        grid,
                         DetectorWindow(grid.edge_value(a), grid.edge_value(b)),
                     )
                     for i, (a, b) in enumerate(zip(edges, edges[1:]))
@@ -210,7 +211,7 @@ class TestSenderMeasurement:
     def test_incomplete_sender_partition_rejected(self, density_config):
         cal = default_calibration()
         evolved = evolve_sender(build_initial(density_config), 0.0, density_config)
-        partial = ProjectorSet((window_projector("in", cal.window),))
+        partial = ProjectorSet((window_projector("in", default_grid(), cal.window),))
         with pytest.raises(IncompleteProjectorSetError):
             receiver_probability_after_sender_measurement(evolved, partial)
 

@@ -19,7 +19,9 @@ from nosignal.audit import (
     no_signalling_audit,
     sender_projectors,
 )
+from nosignal import cli, wavepacket
 from nosignal.measurement import count_outcomes, trial_uniforms
+from nosignal.modes import MAX_GRID_POINTS
 from nosignal.optics import bundled_circuit_path
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -267,6 +269,20 @@ class TestDensityCommand:
         result = run_cli("density", "--points", "8", "--out", str(tmp_path / "x.csv"))
         assert result.returncode == 1
 
+    @pytest.mark.parametrize("command", ["density", "calibrate"])
+    def test_points_past_the_cap_refused_before_any_array(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        def no_packets(*args):
+            raise AssertionError("a packet was built on a refused grid")
+
+        monkeypatch.setattr(wavepacket, "gaussian", no_packets)
+        out = tmp_path / "x"
+        points = str(MAX_GRID_POINTS + 1)
+        assert cli.main([command, "--points", points, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: grid n_points")
+        assert not out.exists()
+
     def test_truncating_geometry_reported(self, tmp_path):
         result = run_cli(
             "density", "--r-min", "-3", "--r-max", "3", "--separation", "5.5",
@@ -360,12 +376,20 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
         (("audit",), {"variant": "mach-zehnder", "trials": 2.7}, "'trials'"),
         (("audit",), {"variant": "mach-zehnder", "trials": True}, "'trials'"),
         (("density",), {"sigma": True}, "'sigma'"),
+        (("density", "--halfwidth", "inf"), None, "halfwidth"),
+        (("density", "--halfwidth=-5"), None, "halfwidth"),
+        (("density", "--halfwidth", "0"), None, "halfwidth"),
+        (("density", "--halfwidth", "nan"), None, "halfwidth"),
+        (("density",), {"window_halfwidth_over_sigma": -1}, "halfwidth"),
+        (("density", "--r-min=-1e308", "--r-max", "1e308"), None, "finite"),
     ],
     ids=[
         "audit-seed-negative", "audit-sigma-nan", "audit-config-trials-string",
         "audit-config-seed-list", "density-config-sigma-list", "density-sigma-zero",
         "density-separation-negative", "density-phi-nan", "density-r-min-infinite",
         "audit-config-trials-fractional", "audit-config-trials-bool", "density-config-sigma-bool",
+        "density-halfwidth-inf", "density-halfwidth-negative", "density-halfwidth-zero",
+        "density-halfwidth-nan", "density-config-halfwidth-negative", "density-span-overflows",
     ],
 )
 def test_bad_value_ends_in_an_error_line(tmp_path, argv, config, message):

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nosignal.measurement import (
     IncompleteProjectorSetError,
     Projector,
-    ProjectorDomainError,
     ProjectorSet,
     ZeroNormReductionError,
     count_outcomes,
@@ -23,7 +23,8 @@ from nosignal.measurement import (
     trial_uniforms,
     window_projector,
 )
-from nosignal.modes import State, make_state
+from nosignal.modes import Grid, State, make_state
+from nosignal.tolerances import REDUCTION_EPS
 from nosignal.wavepacket import (
     DetectorWindow,
     default_calibration,
@@ -50,8 +51,12 @@ def calibration():
 
 
 @pytest.fixture(scope="module")
-def states(grid, calibration):
-    pair = orthogonal_pair(grid, calibration.separation, 1.0)
+def pair(grid, calibration):
+    return orthogonal_pair(grid, calibration.separation, 1.0)
+
+
+@pytest.fixture(scope="module")
+def states(pair):
     return {
         "constructive": recombine(pair, 0.0),
         "destructive": recombine(pair, math.pi),
@@ -61,7 +66,7 @@ def states(grid, calibration):
 class TestProbability:
     def test_window_projector_equals_midpoint_sum(self, grid, states, calibration):
         # bit for bit: h * sum |psi|^2 over the window's cells, squared in numpy
-        p = window_projector("in", calibration.window)
+        p = window_projector("in", grid, calibration.window)
         lo, hi = window_cells(grid, calibration.window)
         for psi in states.values():
             expected = float(grid.spacing * np.sum(np.abs(psi.amplitudes)[lo:hi] ** 2))
@@ -69,38 +74,45 @@ class TestProbability:
 
     def test_mode_projector_on_equal_superposition(self):
         state = make_state([("in", INV_SQRT2), ("far", INV_SQRT2)])
-        assert probability(state, mode_projector("in", "in")) == pytest.approx(
+        assert probability(state, mode_projector("in", state.basis, "in")) == pytest.approx(
             0.5, abs=1e-12
         )
 
     def test_full_domain_projector(self, grid, states):
-        whole = window_projector("all", DetectorWindow(grid.r_min, grid.r_max))
+        whole = window_projector("all", grid, DetectorWindow(grid.r_min, grid.r_max))
         assert probability(states["constructive"], whole) == pytest.approx(
             1.0, abs=1e-8
         )
 
-    def test_destructive_profile_in_calibrated_window(self, states, calibration):
-        p = window_projector("in", calibration.window)
+    def test_destructive_profile_in_calibrated_window(self, grid, states, calibration):
+        p = window_projector("in", grid, calibration.window)
         assert probability(states["destructive"], p) == pytest.approx(
             FROZEN_P_IN_DESTRUCTIVE, abs=1e-12
         )
 
-    def test_domain_mismatch_raises(self, states):
-        with pytest.raises(ProjectorDomainError):
-            probability(states["constructive"], mode_projector("m", "u"))
-        with pytest.raises(ProjectorDomainError):
-            probability(
-                make_state([("u", 1.0)]),
-                window_projector("w", DetectorWindow(-1.0, 1.0)),
-            )
+    def test_domain_mismatch_raises(self, grid, states):
+        psi = states["constructive"]
+        modes = make_state([("u", 0.6), ("l", 0.8)])
+        fine = Grid(grid.r_min, grid.r_max, 2 * grid.n_points)
+        cases = [
+            (psi, mode_projector("m", ("u", "l"), "u")),
+            (modes, window_projector("m", grid, DetectorWindow(-1.0, 1.0))),
+            (psi, window_projector("m", fine, DetectorWindow(-1.0, 1.0))),
+            (modes, mode_projector("m", ("l", "u"), "u")),
+        ]
+        for state, projector in cases:
+            with pytest.raises(ValueError, match="'m' is not on the state's basis"):
+                probability(state, projector)
+            with pytest.raises(ValueError, match="'m' is not on the state's basis"):
+                reduce(state, projector)
 
     def test_input_gate_holds_both_kinds_to_one_tolerance(self, grid):
         # a wavefunction whose norm is off by 2e-8 and a mode state off by
         # 2e-7 are both rejected; states well inside the gate are accepted
         psi = gaussian(grid, 0.0, 1.0)
-        window = window_projector("in", DetectorWindow(-1.0, 1.0))
+        window = window_projector("in", grid, DetectorWindow(-1.0, 1.0))
         modes = [("u", INV_SQRT2), ("l", INV_SQRT2)]
-        u = mode_projector("u", "u")
+        u = mode_projector("u", ("u", "l"), "u")
         for scale, accepted in ((1 + 2e-8, False), (1 + 2e-7, False), (1 + 1e-9, True)):
             stretched = State(grid, psi.amplitudes * scale)
             state = make_state([(label, a * scale) for label, a in modes])
@@ -113,39 +125,83 @@ class TestProbability:
 
     def test_input_gate_rejects_nan_states(self, grid):
         nan_wave = State(grid, np.full(grid.n_points, math.nan))
-        window = window_projector("in", DetectorWindow(-1.0, 1.0))
+        window = window_projector("in", grid, DetectorWindow(-1.0, 1.0))
         nan_modes = make_state([("u", math.nan), ("l", INV_SQRT2)])
-        for state, projector in ((nan_wave, window), (nan_modes, mode_projector("u", "u"))):
+        u = mode_projector("u", nan_modes.basis, "u")
+        for state, projector in ((nan_wave, window), (nan_modes, u)):
             with pytest.raises(ValueError, match="not normalized"):
                 probability(state, projector)
 
-    def test_projector_needs_exactly_one_target(self):
-        with pytest.raises(ValueError):
-            Projector("both", windows=(DetectorWindow(-1, 1),), modes=frozenset("u"))
+
+
+class TestProjectorConstruction:
+    def test_window_resolves_to_its_cells(self, grid, calibration):
+        p = window_projector("in", grid, calibration.window)
+        assert p.basis == grid
+        assert p.ranges == (window_cells(grid, calibration.window),)
+
+    def test_modes_resolve_in_label_order(self):
+        p = mode_projector("x", ["a", "b", "c"], "c", "a", "c")
+        assert p.basis == ("a", "b", "c")
+        assert p.ranges == ((0, 1), (2, 3))
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(ValueError, match=r"\['q'\] are not in the basis"):
+            mode_projector("x", ("u", "l"), "u", "q")
+
+    def test_ranges_outside_the_basis_refused(self, grid):
+        n = grid.n_points
+        cases = [
+            (grid, ((0, n + 1),)),
+            (grid, ((n, n + 1),)),
+            (grid, ((-1, 3),)),
+            (grid, ((5, 3),)),
+            (("u", "l"), ((1, 3),)),
+        ]
+        for basis, ranges in cases:
+            with pytest.raises(ValueError, match="leave"):
+                Projector("x", basis, ranges)
+
+    def test_overlapping_ranges_refused(self, grid):
+        with pytest.raises(ValueError, match="'x' ranges overlap"):
+            Projector("x", grid, ((10, 20), (0, 11)))
+        with pytest.raises(ValueError, match="'x' ranges overlap"):
+            window_projector("x", grid, DetectorWindow(-2.0, 1.0), DetectorWindow(-1.0, 2.0))
+
+    def test_windows_snapping_to_disjoint_cells_accepted(self, grid):
+        # the windows overlap by a fifth of a cell, which both snap away
+        h = grid.spacing
+        a = DetectorWindow(grid.edge_value(10), grid.edge_value(20) + 0.1 * h)
+        b = DetectorWindow(grid.edge_value(20) - 0.1 * h, grid.edge_value(30))
+        assert window_projector("x", grid, b, a).ranges == ((10, 20), (20, 30))
+
+    def test_empty_label_refused(self, grid):
+        with pytest.raises(ValueError, match="nonempty outcome label"):
+            Projector("", grid, ())
 
 
 class TestReduce:
-    def test_reduction_is_eigenstate(self, states, calibration):
-        p = window_projector("in", calibration.window)
+    def test_reduction_is_eigenstate(self, grid, states, calibration):
+        p = window_projector("in", grid, calibration.window)
         reduced = reduce(states["constructive"], p)
         assert probability(reduced, p) == pytest.approx(1.0, abs=1e-12)
 
-    def test_reduction_idempotent(self, states, calibration):
-        p = window_projector("in", calibration.window)
+    def test_reduction_idempotent(self, grid, states, calibration):
+        p = window_projector("in", grid, calibration.window)
         once = reduce(states["constructive"], p)
         twice = reduce(once, p)
         np.testing.assert_allclose(twice.amplitudes, once.amplitudes, atol=1e-12)
 
     def test_mode_reduction_keeps_phase(self):
         state = make_state([("u", 0.6j), ("l", 0.8)])
-        reduced = reduce(state, mode_projector("u", "u"))
+        reduced = reduce(state, mode_projector("u", state.basis, "u"))
         assert reduced.amplitude("u") == pytest.approx(1j, abs=1e-12)
 
     def test_zero_norm_reduction_rejected(self, grid):
         # a packet fully outside the counter: conditioning on a click is
         # meaningless, the no-fire branch must use the complement instead
         psi = gaussian(grid, 5.0, 1.0)
-        far_window = window_projector("in", DetectorWindow(-12.0, -6.0))
+        far_window = window_projector("in", grid, DetectorWindow(-12.0, -6.0))
         with pytest.raises(ZeroNormReductionError):
             reduce(psi, far_window)
 
@@ -175,28 +231,38 @@ class TestProjectorSets:
                 [r.label for r in records].index(record.label)
             ]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_incomplete_set_raises(self, states, calibration):
-        lonely = ProjectorSet((window_projector("in", calibration.window),))
+    def test_incomplete_set_raises(self, grid, states, calibration):
+        lonely = ProjectorSet((window_projector("in", grid, calibration.window),))
         with pytest.raises(IncompleteProjectorSetError):
             lonely.probabilities(states["constructive"])
 
-    def test_overlapping_windows_rejected(self, states, grid):
-        clashing = ProjectorSet(
-            (
-                window_projector("a", DetectorWindow(-2.0, 1.0)),
-                window_projector("b", DetectorWindow(-1.0, 2.0)),
-                window_projector("rest", DetectorWindow(2.0, grid.r_max),
-                                 DetectorWindow(grid.r_min, -2.0)),
+    def test_overlapping_windows_rejected(self, grid):
+        with pytest.raises(ValueError, match="overlap between outcomes"):
+            ProjectorSet(
+                (
+                    window_projector("a", grid, DetectorWindow(-2.0, 1.0)),
+                    window_projector("b", grid, DetectorWindow(-1.0, 2.0)),
+                    window_projector("rest", grid, DetectorWindow(2.0, grid.r_max),
+                                     DetectorWindow(grid.r_min, -2.0)),
+                )
             )
-        )
-        with pytest.raises(ValueError, match="overlap"):
-            clashing.probabilities(states["constructive"])
+
+    def test_set_needs_one_basis(self, grid):
+        fine = Grid(grid.r_min, grid.r_max, 2 * grid.n_points)
+        mixed = [
+            (mode_projector("u", ("u", "l"), "u"), mode_projector("l", ("l", "u"), "l")),
+            (mode_projector("u", ("u", "l"), "u"), window_projector("w", grid)),
+            (window_projector("v", fine), window_projector("w", grid)),
+        ]
+        for projectors in mixed:
+            with pytest.raises(ValueError, match="share one basis"):
+                ProjectorSet(projectors)
 
     def test_law_of_total_probability(self, states, calibration, grid):
         pset = three_counter_partition(calibration.window, grid)
         # coarse observable: union of the left counter and the middle counter
         union = window_projector(
-            "left+in", DetectorWindow(grid.r_min, calibration.window.hi)
+            "left+in", grid, DetectorWindow(grid.r_min, calibration.window.hi)
         )
         for psi in states.values():
             direct = probability(psi, union)
@@ -208,32 +274,38 @@ class TestProjectorSets:
                 total += p_k * probability(reduce(psi, proj), union)
             assert total == pytest.approx(direct, abs=1e-8)
 
-    def test_law_of_total_probability_random_partitions(self, states, grid):
-        rng = np.random.default_rng(41)
-        psi = states["destructive"]
-        for _ in range(10):
-            cuts = np.sort(rng.choice(np.arange(1, grid.n_points), size=3, replace=False))
-            edges = [0, *cuts.tolist(), grid.n_points]
-            windows = [
-                DetectorWindow(grid.edge_value(a), grid.edge_value(b))
-                for a, b in zip(edges, edges[1:])
-            ]
-            pset = ProjectorSet(
-                tuple(window_projector(f"w{i}", w) for i, w in enumerate(windows))
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_law_of_total_probability_random_partitions(self, pair, grid, data):
+        # random phase, random cells cut into 2-7 counters, random coarse union
+        psi = recombine(pair, data.draw(st.floats(0.0, 2 * math.pi)))
+        cuts = data.draw(
+            st.lists(st.integers(1, grid.n_points - 1), min_size=1, max_size=6, unique=True)
+        )
+        edges = [0, *sorted(cuts), grid.n_points]
+        spans = list(zip(edges, edges[1:]))
+        pset = ProjectorSet(
+            tuple(Projector(f"w{i}", grid, (span,)) for i, span in enumerate(spans))
+        )
+        keep = data.draw(st.lists(st.booleans(), min_size=len(spans), max_size=len(spans)))
+        union = Projector("union", grid, tuple(s for s, k in zip(spans, keep) if k))
+        probs = pset.probabilities(psi)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        total = sum(
+            p * probability(reduce(psi, proj), union)
+            for proj, p in zip(pset.projectors, probs)
+            if p >= REDUCTION_EPS
+        )
+        assert total == pytest.approx(probability(psi, union), abs=1e-8)
+        # each reduction is an eigenstate of its projector, and reducing again changes nothing
+        for proj in (*pset.projectors, union):
+            if probability(psi, proj) < REDUCTION_EPS:
+                continue
+            reduced = reduce(psi, proj)
+            assert probability(reduced, proj) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(
+                reduce(reduced, proj).amplitudes, reduced.amplitudes, rtol=0, atol=1e-12
             )
-            keep = rng.random(len(windows)) < 0.5
-            if not keep.any():
-                keep[0] = True
-            union = window_projector(
-                "union", *[w for w, k in zip(windows, keep) if k]
-            )
-            direct = probability(psi, union)
-            total = sum(
-                probability(psi, proj) * probability(reduce(psi, proj), union)
-                for proj in pset.projectors
-                if probability(psi, proj) >= 1e-12
-            )
-            assert total == pytest.approx(direct, abs=1e-8)
 
 
 class TestSampling:
@@ -272,7 +344,7 @@ class TestSampling:
         psi = states["constructive"]
         n = 100_000
         counts = sample_outcomes(psi, pset, seed=12, n_trials=n)
-        p = probability(psi, window_projector("in", calibration.window))
+        p = probability(psi, window_projector("in", grid, calibration.window))
         band = 3 * math.sqrt(p * (1 - p) / n)
         assert counts["in"] / n == pytest.approx(p, abs=band)
 
@@ -282,7 +354,7 @@ class TestSampling:
         psi = states["constructive"]
         n = 2000
         hits = sum(measure(psi, pset, seed=seed)[0] == "in" for seed in range(n))
-        p = probability(psi, window_projector("in", calibration.window))
+        p = probability(psi, window_projector("in", grid, calibration.window))
         band = 3 * math.sqrt(p * (1 - p) / n)
         assert hits / n == pytest.approx(p, abs=band)
 
@@ -291,7 +363,7 @@ class TestSampling:
         # split 1/2 / 1/2, and sampled frequencies sit in the binomial band
         state = make_state([("in", INV_SQRT2), ("recv", INV_SQRT2)])
         pset = ProjectorSet(
-            (mode_projector("in", "in"), mode_projector("recv", "recv"))
+            (mode_projector("in", state.basis, "in"), mode_projector("recv", state.basis, "recv"))
         )
         n = 100_000
         counts = sample_outcomes(state, pset, seed=3, n_trials=n)

@@ -26,7 +26,6 @@ from nosignal.optics import (
     is_isometry,
     load_bundled_circuit,
     mach_zehnder_circuit,
-    matrix_of,
     mirror,
     mz_output,
     phase_shifter,
@@ -41,48 +40,48 @@ SWEEP = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
 
 class TestElementMatrices:
     def test_balanced_splitter_halves_an_input(self):
-        tm = matrix_of(beam_splitter(("a", "b"), ("c", "d")))
+        tm = beam_splitter(("a", "b"), ("c", "d")).transfer
         out = tm.entries @ np.array([1.0, 0.0])
         np.testing.assert_allclose(out, [INV_SQRT2, INV_SQRT2], atol=1e-15)
 
     def test_balanced_splitter_is_hadamard(self):
-        tm = matrix_of(beam_splitter(("a", "b"), ("c", "d")))
+        tm = beam_splitter(("a", "b"), ("c", "d")).transfer
         np.testing.assert_allclose(
             tm.entries, np.array([[1, 1], [1, -1]]) / math.sqrt(2), atol=1e-15
         )
 
     def test_phase_shifter_pi_flips_sign(self):
-        tm = matrix_of(phase_shifter("a", math.pi))
+        tm = phase_shifter("a", math.pi).transfer
         np.testing.assert_allclose(tm.entries @ [1.0], [-1.0], atol=1e-15)
 
     def test_mirror_and_deflector_are_identity(self):
         for element in (mirror("a"), deflector("a")):
-            np.testing.assert_allclose(matrix_of(element).entries, [[1.0]], atol=0)
+            np.testing.assert_allclose(element.transfer.entries, [[1.0]], atol=0)
 
     def test_canceller_pi_annihilates_equal_pair(self):
-        tm = matrix_of(hypothetical_canceller(("a", "b"), "out", math.pi))
+        tm = hypothetical_canceller(("a", "b"), "out", math.pi).transfer
         out = tm.entries @ np.array([INV_SQRT2, INV_SQRT2])
         assert abs(out[0]) <= 1e-15
 
 
 class TestIsIsometry:
     def test_balanced_splitter(self):
-        ok, dev = is_isometry(matrix_of(beam_splitter(("a", "b"), ("c", "d"))))
+        ok, dev = is_isometry(beam_splitter(("a", "b"), ("c", "d")).transfer)
         assert ok and dev <= 1e-15
 
     @pytest.mark.parametrize("phi", SWEEP)
     def test_canceller_fails_at_every_phase(self, phi):
-        ok, dev = is_isometry(matrix_of(hypothetical_canceller(("a", "b"), "o", phi)))
+        ok, dev = is_isometry(hypothetical_canceller(("a", "b"), "o", phi).transfer)
         assert not ok
         assert dev == pytest.approx(0.5, abs=1e-12)
 
     def test_phase_shifter_exact(self):
-        ok, dev = is_isometry(matrix_of(phase_shifter("a", 1.234)))
+        ok, dev = is_isometry(phase_shifter("a", 1.234).transfer)
         assert ok and dev <= 1e-15
 
     def test_general_splitter_angles(self):
         for theta in np.linspace(0, math.pi, 17):
-            ok, _ = is_isometry(matrix_of(beam_splitter(("a", "b"), ("c", "d"), theta)))
+            ok, _ = is_isometry(beam_splitter(("a", "b"), ("c", "d"), theta).transfer)
             assert ok
 
 
@@ -287,7 +286,7 @@ class TestCircuitJson:
         element = Element("custom", ("a",), ("a",), {"matrix": rows})
         rows[0][0][0] = 0.5
         assert element.params == {"matrix": [[[1.0, 0.0]]]}
-        assert matrix_of(element).entries[0, 0] == 1.0
+        assert element.transfer.entries[0, 0] == 1.0
 
     def test_top_level_must_be_list(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from scipy import integrate
 
 from nosignal import wavepacket
 from nosignal.measurement import probability, window_projector
-from nosignal.modes import Grid, combine, inner, norm
+from nosignal.modes import MAX_GRID_POINTS, Grid, combine, inner, norm
 from nosignal.wavepacket import (
     CALIBRATION_HALFWIDTHS,
     CalibrationError,
@@ -50,7 +50,7 @@ def calibrated_pair(grid):
 
 def _in_window(psi, window):
     """Born probability of finding the particle inside ``window``."""
-    return probability(psi, window_projector("in", window))
+    return probability(psi, window_projector("in", psi.basis, window))
 
 
 def _closed_form_window_probs(d, lo, hi, sigma=1.0):
@@ -88,7 +88,17 @@ class TestGrid:
             Grid(-1.0, 1.0, 32)
 
     @pytest.mark.parametrize(
-        "r_min, r_max", [(-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0), (-1.0, math.nan)]
+        "n_points", [100.5, 128.0, True, MAX_GRID_POINTS + 1, 2**62],
+        ids=["fractional", "integral-float", "bool", "past-cap", "huge"],
+    )
+    def test_cell_count_must_be_an_int_up_to_the_cap(self, n_points):
+        # refused in __post_init__, before any array could be built
+        with pytest.raises(ValueError, match="n_points"):
+            Grid(-1.0, 1.0, n_points)
+
+    @pytest.mark.parametrize(
+        "r_min, r_max",
+        [(-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0), (-1.0, math.nan), (-1e308, 1e308)],
     )
     def test_non_finite_bounds_rejected(self, r_min, r_max):
         with pytest.raises(ValueError, match="finite"):
@@ -269,6 +279,11 @@ class TestWindowProbability:
         psi = recombine(calibrated_pair, 0.0)
         tiny = symmetric_window(grid, 1e-9)
         assert _in_window(psi, tiny) <= 0.01
+
+    @pytest.mark.parametrize("halfwidth", [math.inf, math.nan, 0.0, -5.0])
+    def test_symmetric_window_needs_a_positive_finite_halfwidth(self, grid, halfwidth):
+        with pytest.raises(ValueError, match="halfwidth"):
+            symmetric_window(grid, halfwidth)
 
 
 class TestCalibrate:
