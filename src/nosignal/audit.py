@@ -30,7 +30,6 @@ import numpy as np
 from .modes import Grid, State, make_state
 from .optics import mz_output
 from .measurement import (
-    IncompleteProjectorSetError,
     ProjectorSet,
     count_outcomes,
     mode_projector,
@@ -38,7 +37,7 @@ from .measurement import (
     reduce,
     trial_uniforms,
 )
-from .tolerances import ANALYTIC_TOL, COMPLETENESS_TOL, REDUCTION_EPS
+from .tolerances import ANALYTIC_TOL, NORM_TOL, REDUCTION_EPS
 from .wavepacket import (
     DetectorWindow,
     default_calibration,
@@ -53,6 +52,11 @@ VARIANTS = (VARIANT_DENSITY, VARIANT_MACH_ZEHNDER)
 
 RECEIVER_LABEL = "receiver"
 
+#: Most trials one row may sample: 128 MiB of uniform draws per row.
+MAX_TRIALS = 2**24
+#: Most phases :func:`default_phase_sweep` spreads over the circle.
+MAX_PHASES = 2**16
+
 
 @dataclass(frozen=True)
 class CompositeState:
@@ -66,6 +70,11 @@ class CompositeState:
     receiver_amplitude: complex
     sender_amplitude: complex
     sender_state: State
+
+    def __post_init__(self) -> None:
+        norm = math.hypot(abs(self.receiver_amplitude), abs(self.sender_amplitude))
+        if not abs(norm - 1.0) <= NORM_TOL:
+            raise ValueError(f"composite state is not normalized (norm {norm:.9f})")
 
 
 @dataclass(frozen=True)
@@ -87,8 +96,8 @@ class ScenarioConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if not self.phases:
             raise ValueError("phase list cannot be empty")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if not (type(self.trials) is int and 1 <= self.trials <= MAX_TRIALS):
+            raise ValueError(f"trials must be an int in [1, {MAX_TRIALS}], got {self.trials!r}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be a positive finite number, got {self.sigma}")
         phases = tuple(float(p) for p in self.phases)
@@ -104,8 +113,8 @@ class ScenarioConfig:
 
 def default_phase_sweep(n: int = 64) -> tuple[float, ...]:
     """``n`` equally spaced phases in [0, 2 pi) plus the exact points 0 and pi."""
-    if n < 1:
-        raise ValueError(f"a phase sweep needs at least 1 phase, got {n}")
+    if not (type(n) is int and 1 <= n <= MAX_PHASES):
+        raise ValueError(f"a phase sweep needs at least 1 phase, at most {MAX_PHASES}; got {n!r}")
     values = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
     return tuple(sorted(set(values.tolist()) | {0.0, math.pi}))
 
@@ -159,18 +168,14 @@ def composite_outcomes(
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Global outcome labels and probabilities: sender outcomes, then receiver.
 
-    Raises :class:`IncompleteProjectorSetError` when the sender partition
-    plus the receiver region fail to cover the state.
+    The sender set tiles the sender branch and the composite's branch
+    weights sum to 1, so the global outcomes are complete by construction.
     """
     if RECEIVER_LABEL in sender_set.labels:
         raise ValueError(f"sender outcomes may not use the label {RECEIVER_LABEL!r}")
     weight = abs(state.sender_amplitude) ** 2
     branch_probs = sender_set.probabilities(state.sender_state)
     probs = np.append(weight * branch_probs, receiver_probability(state))
-    if not probs.sum() >= 1.0 - COMPLETENESS_TOL:
-        raise IncompleteProjectorSetError(
-            f"global outcome probabilities sum to {probs.sum():.9f} < 1"
-        )
     return sender_set.labels + (RECEIVER_LABEL,), probs
 
 

@@ -4,9 +4,10 @@ A projector keeps ``[lo, hi)`` index ranges of one basis, the basis a
 :class:`~nosignal.modes.State` lives on.  A detector window resolves once,
 at construction, to the grid cells it covers, so the Born rule over a
 partition is exactly additive; a set of mode labels resolves to their
-indices.  Measuring collapses the state onto the observed projector's
-ranges and renormalizes; an outcome whose probability is below
-``REDUCTION_EPS`` cannot be conditioned on and raises instead.
+indices; a :class:`ProjectorSet`'s outcomes tile the basis.  Measuring
+collapses the state onto the observed projector's ranges and renormalizes;
+an outcome whose probability is below ``REDUCTION_EPS`` cannot be
+conditioned on and raises instead.
 
 Sampling is inverse-CDF with one uniform draw per trial.  The uniforms
 come from a counter-based generator keyed by ``(seed, stream)``: trial
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .modes import Grid, State, check_basis, check_labels
-from .tolerances import COMPLETENESS_TOL, NORM_TOL, REDUCTION_EPS
+from .tolerances import NORM_TOL, REDUCTION_EPS
 from .wavepacket import DetectorWindow, window_cells
 
 
@@ -41,12 +42,16 @@ class ZeroNormReductionError(ValueError):
 
 
 class IncompleteProjectorSetError(ValueError):
-    """The projectors do not cover the state (probabilities sum below 1)."""
+    """The outcomes leave part of the basis in no outcome: ``sum_k P_k != I``."""
 
 
-def _overlap(ranges) -> bool:
-    spans = sorted(ranges)
-    return any(lo < hi for (_, hi), (lo, _) in zip(spans, spans[1:]))
+def _between(ranges, size: int) -> list[tuple[int, int]]:
+    """``(end, start)`` of each stretch between sorted nonempty ranges, over ``[0, size)``.
+
+    ``end > start`` where two ranges overlap; ``end < start`` is a span none covers.
+    """
+    edges = [0, *(edge for span in sorted(ranges) for edge in span), size]
+    return list(zip(edges[::2], edges[1::2]))
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,7 @@ class Projector:
         if not all(0 <= lo <= hi <= size for lo, hi in ranges):
             raise ValueError(f"projector {self.label!r} ranges {ranges} leave [0, {size})")
         ranges = tuple((lo, hi) for lo, hi in ranges if lo < hi)
-        if _overlap(ranges):
+        if any(end > start for end, start in _between(ranges, size)):
             raise ValueError(f"projector {self.label!r} ranges overlap")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "ranges", ranges)
@@ -131,7 +136,7 @@ def reduce(state: State, projector: Projector) -> State:
 
 @dataclass(frozen=True)
 class ProjectorSet:
-    """Ordered, pairwise-orthogonal projectors on one basis, meant to cover the state."""
+    """A complete measurement: ordered, disjoint projectors tiling one basis (``sum P_k = I``)."""
 
     projectors: tuple[Projector, ...]
 
@@ -144,8 +149,15 @@ class ProjectorSet:
             raise ValueError("projector outcome labels must be distinct")
         if any(p.basis != projectors[0].basis for p in projectors):
             raise ValueError("projectors in one set must share one basis")
-        if _overlap(r for p in projectors for r in p.ranges):
+        basis, size = check_basis(projectors[0].basis)
+        between = _between([r for p in projectors for r in p.ranges], size)
+        if any(end > start for end, start in between):
             raise ValueError("projectors overlap between outcomes")
+        gaps = [(end, start) for end, start in between if end < start]
+        if gaps:
+            lo, hi = gaps[0]
+            where = f"cells [{lo}, {hi})" if isinstance(basis, Grid) else f"modes {basis[lo:hi]}"
+            raise IncompleteProjectorSetError(f"projector set leaves {where} in no outcome")
         object.__setattr__(self, "projectors", projectors)
 
     @property
@@ -153,14 +165,8 @@ class ProjectorSet:
         return tuple(p.label for p in self.projectors)
 
     def probabilities(self, state: State) -> np.ndarray:
-        """Per-outcome Born probabilities; raises if the outcomes miss part of the state."""
-        probs = np.array(_born(state, self.projectors))
-        if not probs.sum() >= 1.0 - COMPLETENESS_TOL:
-            raise IncompleteProjectorSetError(
-                f"outcome probabilities sum to {probs.sum():.9f} < 1; "
-                "the projector set does not cover the state"
-            )
-        return probs
+        """Per-outcome Born probabilities, in outcome order."""
+        return np.array(_born(state, self.projectors))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,6 @@ is set in exactly one place.
 
 #: Input gate: a state must have norm within this of 1.
 NORM_TOL = 1e-8
-#: Outcome probabilities summing below ``1 - COMPLETENESS_TOL`` do not cover
-#: the state (a projector set, or the audit's global outcome set).
-COMPLETENESS_TOL = 1e-6
 #: Outcomes less probable than this cannot be collapsed onto or conditioned on.
 REDUCTION_EPS = 1e-12
 #: Audit verdict: the analytic receiver probability may miss 1/2 by this much.

@@ -94,8 +94,6 @@ class PacketPair:
 
     upper: State
     lower: State
-    separation: float
-    width: float
     raw_overlap: float
 
 
@@ -135,7 +133,7 @@ def _orthogonal_pair(grid: Grid, separation: float, width: float) -> PacketPair:
     inv_sqrt2 = 1 / math.sqrt(2)
     upper = combine(even, odd, inv_sqrt2, inv_sqrt2)
     lower = combine(even, odd, inv_sqrt2, -inv_sqrt2)
-    return PacketPair(upper, lower, separation, width, overlap)
+    return PacketPair(upper, lower, overlap)
 
 
 def recombine(pair: PacketPair, phi: float) -> State:

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nosignal.audit import (
+    MAX_PHASES,
+    MAX_TRIALS,
     AuditReport,
     CompositeState,
     ScenarioConfig,
@@ -31,7 +34,8 @@ from nosignal.measurement import (
     trial_uniforms,
     window_projector,
 )
-from nosignal.modes import norm
+from nosignal.modes import State, norm
+from nosignal.optics import Circuit, apply, custom_element
 from nosignal.wavepacket import DetectorWindow, default_calibration, default_grid
 
 FROZEN_P_IN_CONSTRUCTIVE = 0.7365556411410185
@@ -144,12 +148,39 @@ class TestReceiverProbability:
 
 
 class TestSenderMeasurement:
-    def test_nan_receiver_amplitude_fails_the_completeness_gate(self):
+    def test_nan_receiver_amplitude_is_not_normalized(self):
         config = _config(VARIANT_MACH_ZEHNDER)
         evolved = evolve_sender(build_initial(config), 0.0, config)
-        broken = CompositeState(math.nan, evolved.sender_amplitude, evolved.sender_state)
-        with pytest.raises(IncompleteProjectorSetError):
-            composite_outcomes(broken, sender_projectors(config))
+        for receiver in (math.nan, 1.0):
+            with pytest.raises(ValueError, match="not normalized"):
+                CompositeState(receiver, evolved.sender_amplitude, evolved.sender_state)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_unitary_and_partition_leave_receiver_at_half(self, data):
+        # a Haar-random k x k unitary wired as one custom element, a random
+        # normalized input, and its outputs grouped into a random complete partition
+        k = data.draw(st.integers(2, 5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        gauss = rng.standard_normal((2, k, k)) + 1j * rng.standard_normal((2, k, k))
+        q, r = np.linalg.qr(gauss[0])
+        unitary = q * (np.diag(r) / np.abs(np.diag(r)))
+        psi = gauss[1][:, 0] / np.linalg.norm(gauss[1][:, 0])
+        inputs = tuple(f"i{j}" for j in range(k))
+        outputs = tuple(f"o{j}" for j in range(k))
+        circuit = Circuit((custom_element(unitary, inputs, outputs),), input_modes=inputs)
+        branch = apply(circuit, State(inputs, psi))
+        owner = data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+        order = data.draw(st.permutations(sorted(set(owner))))
+        pset = ProjectorSet(
+            tuple(
+                mode_projector(f"g{g}", outputs, *(m for m, o in zip(outputs, owner) if o == g))
+                for g in order
+            )
+        )
+        state = CompositeState(1 / math.sqrt(2), 1 / math.sqrt(2), branch)
+        after = receiver_probability_after_sender_measurement(state, pset)
+        assert after == pytest.approx(0.5, abs=1e-12)
 
     def test_pair_partition_leaves_receiver_at_half(self, density_config):
         evolved = evolve_sender(build_initial(density_config), 0.0, density_config)
@@ -208,12 +239,10 @@ class TestSenderMeasurement:
         clicked = reduce_composite(evolved, "H", pset)
         assert receiver_probability(clicked) == 0.0
 
-    def test_incomplete_sender_partition_rejected(self, density_config):
+    def test_incomplete_sender_partition_rejected(self):
         cal = default_calibration()
-        evolved = evolve_sender(build_initial(density_config), 0.0, density_config)
-        partial = ProjectorSet((window_projector("in", default_grid(), cal.window),))
         with pytest.raises(IncompleteProjectorSetError):
-            receiver_probability_after_sender_measurement(evolved, partial)
+            ProjectorSet((window_projector("in", default_grid(), cal.window),))
 
 
 class TestAuditReport:
@@ -288,6 +317,12 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(variant=VARIANT_MACH_ZEHNDER, phases=(0.0,), trials=0)
 
+    @pytest.mark.parametrize("trials", [2.5, True, MAX_TRIALS + 1, 10**12])
+    def test_trials_must_be_an_integer_up_to_the_cap(self, trials):
+        # validation only: nothing is drawn
+        with pytest.raises(ValueError, match="trials must be an int in"):
+            ScenarioConfig(variant=VARIANT_MACH_ZEHNDER, phases=(0.0,), trials=trials)
+
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase_rejected(self, phi):
         with pytest.raises(ValueError, match="phases must be finite"):
@@ -309,6 +344,12 @@ class TestScenarioConfig:
     def test_sweep_needs_at_least_one_phase(self, n):
         with pytest.raises(ValueError, match="at least 1 phase"):
             default_phase_sweep(n)
+
+    @pytest.mark.parametrize("n", [MAX_PHASES + 1, 10**12, 16.0, True])
+    def test_sweep_past_the_cap_or_not_an_integer_refused(self, n):
+        with pytest.raises(ValueError, match=f"at most {MAX_PHASES}"):
+            default_phase_sweep(n)
+        assert len(default_phase_sweep(MAX_PHASES)) == MAX_PHASES
 
     def test_density_defaults_loaded_from_calibration(self):
         config = _config(VARIANT_DENSITY)

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from nosignal.audit import (
+    MAX_PHASES,
+    MAX_TRIALS,
     RECEIVER_LABEL,
     ScenarioConfig,
     binomial_band,
@@ -19,7 +21,7 @@ from nosignal.audit import (
     no_signalling_audit,
     sender_projectors,
 )
-from nosignal import cli, wavepacket
+from nosignal import audit, cli, wavepacket
 from nosignal.measurement import count_outcomes, trial_uniforms
 from nosignal.modes import MAX_GRID_POINTS
 from nosignal.optics import bundled_circuit_path
@@ -167,6 +169,24 @@ class TestAuditCommand:
         assert result.returncode == 1
         assert result.stderr.startswith("error:") and "at least 1 phase" in result.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--trials", MAX_TRIALS + 1, "trials"), ("--phi-sweep", MAX_PHASES + 1, "phase sweep")],
+    )
+    def test_past_a_cap_refused_before_any_draw(
+        self, tmp_path, monkeypatch, capsys, flag, value, message
+    ):
+        def no_draws(*args):
+            raise AssertionError("uniforms were drawn for a refused audit")
+
+        monkeypatch.setattr(audit, "trial_uniforms", no_draws)
+        out = tmp_path / "x"
+        argv = ["audit", "--variant", "mach-zehnder", flag, str(value), "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
 
 
     # sha256 of `audit --variant mach-zehnder --phi-sweep 16 --trials 20000
@@ -382,6 +402,10 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
         (("density", "--halfwidth", "nan"), None, "halfwidth"),
         (("density",), {"window_halfwidth_over_sigma": -1}, "halfwidth"),
         (("density", "--r-min=-1e308", "--r-max", "1e308"), None, "finite"),
+        (("audit", "--variant", "mach-zehnder", "--trials", "1000000000000"), None, "trials"),
+        (("audit",), {"variant": "mach-zehnder", "trials": MAX_TRIALS + 1}, "trials"),
+        (("audit", "--variant", "mach-zehnder", "--phi-sweep", "1000000000000"), None,
+         "phase sweep"),
     ],
     ids=[
         "audit-seed-negative", "audit-sigma-nan", "audit-config-trials-string",
@@ -390,10 +414,11 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
         "audit-config-trials-fractional", "audit-config-trials-bool", "density-config-sigma-bool",
         "density-halfwidth-inf", "density-halfwidth-negative", "density-halfwidth-zero",
         "density-halfwidth-nan", "density-config-halfwidth-negative", "density-span-overflows",
+        "audit-trials-past-cap", "audit-config-trials-past-cap", "audit-phi-sweep-past-cap",
     ],
 )
 def test_bad_value_ends_in_an_error_line(tmp_path, argv, config, message):
-    extra = ["--phi-sweep", "2"] if argv[0] == "audit" else []
+    extra = ["--phi-sweep", "2"] if argv[0] == "audit" and "--phi-sweep" not in argv else []
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

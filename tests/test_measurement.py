@@ -231,10 +231,24 @@ class TestProjectorSets:
                 [r.label for r in records].index(record.label)
             ]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_incomplete_set_raises(self, grid, states, calibration):
-        lonely = ProjectorSet((window_projector("in", grid, calibration.window),))
-        with pytest.raises(IncompleteProjectorSetError):
-            lonely.probabilities(states["constructive"])
+    def test_incomplete_set_raises(self, grid, calibration):
+        # completeness belongs to the apparatus, so it is refused whatever the
+        # state: {H} alone holds all of mz_output(0) but not of other phases,
+        # and the in/out pair's 1200 missing cells hold at most 3e-15 of the
+        # calibrated states
+        i_lo, i_hi = window_cells(grid, calibration.window)
+        last = grid.n_points - 600
+        incomplete = {
+            r"cells \[0, ": (window_projector("in", grid, calibration.window),),
+            r"modes \('V',\)": (mode_projector("H", ("H", "V"), "H"),),
+            r"cells \[0, 600\)": (
+                Projector("in", grid, ((i_lo, i_hi),)),
+                Projector("out", grid, ((600, i_lo), (i_hi, last))),
+            ),
+        }
+        for message, projectors in incomplete.items():
+            with pytest.raises(IncompleteProjectorSetError, match=message):
+                ProjectorSet(projectors)
 
     def test_overlapping_windows_rejected(self, grid):
         with pytest.raises(ValueError, match="overlap between outcomes"):
@@ -277,16 +291,34 @@ class TestProjectorSets:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(data=st.data())
     def test_law_of_total_probability_random_partitions(self, pair, grid, data):
-        # random phase, random cells cut into 2-7 counters, random coarse union
+        # random phase; random cells cut into 2-7 spans, dealt in any order to
+        # outcomes that come in any order, so one outcome may hold several
+        # spans; a random coarse union
         psi = recombine(pair, data.draw(st.floats(0.0, 2 * math.pi)))
         cuts = data.draw(
             st.lists(st.integers(1, grid.n_points - 1), min_size=1, max_size=6, unique=True)
         )
         edges = [0, *sorted(cuts), grid.n_points]
         spans = list(zip(edges, edges[1:]))
-        pset = ProjectorSet(
-            tuple(Projector(f"w{i}", grid, (span,)) for i, span in enumerate(spans))
-        )
+        n = len(spans)
+        owner = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        dealt = data.draw(st.permutations(range(n)))
+        order = data.draw(st.permutations(sorted(set(owner))))
+
+        def outcomes(dropped=None):
+            return tuple(
+                Projector(
+                    f"w{k}", grid, tuple(spans[i] for i in dealt if owner[i] == k and i != dropped)
+                )
+                for k in order
+            )
+
+        pset = ProjectorSet(outcomes())
+        # the same draw with one span in no outcome is not a measurement
+        dropped = data.draw(st.integers(0, n - 1))
+        lo, hi = spans[dropped]
+        with pytest.raises(IncompleteProjectorSetError, match=rf"cells \[{lo}, {hi}\)"):
+            ProjectorSet(outcomes(dropped))
         keep = data.draw(st.lists(st.booleans(), min_size=len(spans), max_size=len(spans)))
         union = Projector("union", grid, tuple(s for s, k in zip(spans, keep) if k))
         probs = pset.probabilities(psi)
@@ -313,6 +345,16 @@ class TestSampling:
         batch = trial_uniforms(99, 40)
         singles = [trial_uniform(99, i) for i in range(40)]
         assert list(batch) == singles
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        stream=st.integers(0, 2**63 - 1),
+        trial=st.integers(0, 2**20 - 1),
+    )
+    def test_random_access_matches_the_batch(self, seed, stream, trial):
+        # the jump to draw i is Philox block arithmetic: four 64-bit words a block
+        assert trial_uniform(seed, trial, stream) == trial_uniforms(seed, trial + 1, stream)[trial]
 
     def test_measure_is_deterministic(self, states, calibration, grid):
         pset = pair_partition(calibration.window, grid)

@@ -182,7 +182,7 @@ class TestOrthogonalPair:
         pair = orthogonal_pair(grid, 1.25, 1.0)
         other_separation = orthogonal_pair(grid, 1.5, 1.0)
         assert other_separation is not pair
-        assert other_separation.separation == 1.5
+        assert other_separation.raw_overlap == pytest.approx(math.exp(-(1.5**2) / 8), abs=1e-10)
         fine = Grid(grid.r_min, grid.r_max, 2 * grid.n_points)
         other_grid = orthogonal_pair(fine, 1.25, 1.0)
         assert other_grid is not pair
