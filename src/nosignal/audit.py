@@ -30,6 +30,7 @@ import numpy as np
 from .modes import Grid, State, make_state
 from .optics import mz_output
 from .measurement import (
+    MAX_SEED,
     ProjectorSet,
     count_outcomes,
     mode_projector,
@@ -98,6 +99,8 @@ class ScenarioConfig:
             raise ValueError("phase list cannot be empty")
         if not (type(self.trials) is int and 1 <= self.trials <= MAX_TRIALS):
             raise ValueError(f"trials must be an int in [1, {MAX_TRIALS}], got {self.trials!r}")
+        if not (type(self.seed) is int and 0 <= self.seed < MAX_SEED):
+            raise ValueError(f"seed must be an int in [0, 2**63), got {self.seed!r}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be a positive finite number, got {self.sigma}")
         phases = tuple(float(p) for p in self.phases)

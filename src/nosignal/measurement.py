@@ -225,11 +225,12 @@ def pair_partition(window: DetectorWindow, grid: Grid) -> ProjectorSet:
 # Seeded sampling
 # ---------------------------------------------------------------------------
 
-_MAX_SEED = 2**63
+#: Seeds are non-negative 63-bit integers.
+MAX_SEED = 2**63
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
-    if not (0 <= seed < _MAX_SEED):
+    if not (0 <= seed < MAX_SEED):
         raise ValueError("seed must be a non-negative 63-bit integer")
     if not (0 <= stream < 2**63):
         raise ValueError("stream index out of range")

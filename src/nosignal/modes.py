@@ -136,10 +136,17 @@ class State:
 
         Modes are squared one by one in Python and cells in one numpy call;
         the two round differently in the last bit, and reports keep each.
+        Computed on the first call and kept, read-only, with the state.
         """
-        if isinstance(self.basis, Grid):
-            return np.abs(self.amplitudes) ** 2
-        return np.array([abs(a) ** 2 for a in self.amplitudes])
+        density = self.__dict__.get("_density")
+        if density is None:
+            if isinstance(self.basis, Grid):
+                density = np.abs(self.amplitudes) ** 2
+            else:
+                density = np.array([abs(a) ** 2 for a in self.amplitudes])
+            density.setflags(write=False)
+            object.__setattr__(self, "_density", density)
+        return density
 
 
 def make_state(entries: Iterable[tuple[str, complex]]) -> State:

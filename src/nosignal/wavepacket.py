@@ -244,25 +244,31 @@ def calibrate(grid: Grid, sigma: float) -> CalibrationResult:
     window.
     """
     best: CalibrationResult | None = None
+    windows: list[DetectorWindow] | None = None
+    h = grid.spacing
     for d_over_sigma in CALIBRATION_SEPARATIONS:
         separation = float(d_over_sigma * sigma)
         try:
             pair = orthogonal_pair(grid, separation, sigma)
         except (TruncationError, ConditioningError):
             continue
-        h = grid.spacing
+        if windows is None:
+            # resolved at the first pair that fits, not before the scan: on a
+            # grid too small for any pair the scan must end in CalibrationError
+            windows = [symmetric_window(grid, float(w * sigma)) for w in CALIBRATION_HALFWIDTHS]
+            i_lo, i_hi = np.array([window_cells(grid, w) for w in windows]).T
         cum0 = np.concatenate(([0.0], np.cumsum(recombine(pair, 0.0).density()))) * h
         cum_pi = np.concatenate(([0.0], np.cumsum(recombine(pair, math.pi).density()))) * h
-        for halfwidth in CALIBRATION_HALFWIDTHS:
-            window = symmetric_window(grid, float(halfwidth * sigma))
-            i_lo, i_hi = window_cells(grid, window)
-            p0 = float(cum0[i_hi] - cum0[i_lo])
-            p_pi = float(cum_pi[i_hi] - cum_pi[i_lo])
-            contrast = min(p0, 1.0 - p_pi)
-            if best is None or contrast > best.contrast:
-                best = CalibrationResult(
-                    separation, window, contrast, p0, p_pi, sigma
-                )
+        p0 = cum0[i_hi] - cum0[i_lo]
+        p_pi = cum_pi[i_hi] - cum_pi[i_lo]
+        contrast = np.minimum(p0, 1.0 - p_pi)
+        # the row's first maximum, taken only if it beats every earlier row:
+        # ties keep the first geometry in scan order
+        k = int(np.argmax(contrast))
+        if best is None or contrast[k] > best.contrast:
+            best = CalibrationResult(
+                separation, windows[k], float(contrast[k]), float(p0[k]), float(p_pi[k]), sigma
+            )
     if best is None or best.contrast < MIN_USABLE_CONTRAST:
         reached = 0.0 if best is None else best.contrast
         raise CalibrationError(

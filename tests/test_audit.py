@@ -323,6 +323,11 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="trials must be an int in"):
             ScenarioConfig(variant=VARIANT_MACH_ZEHNDER, phases=(0.0,), trials=trials)
 
+    @pytest.mark.parametrize("seed", [True, 2.5, -1, 2**63])
+    def test_seed_must_be_a_63_bit_int(self, seed):
+        with pytest.raises(ValueError, match="seed must be an int in"):
+            ScenarioConfig(variant=VARIANT_MACH_ZEHNDER, phases=(0.0,), seed=seed)
+
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase_rejected(self, phi):
         with pytest.raises(ValueError, match="phases must be finite"):

@@ -1,0 +1,35 @@
+"""Committed benchmark records: each ``BENCH_*.json`` covers the whole contract.
+
+A record holds the parent and change sides of the paired runs of one
+change, per workload, with the median and quartiles of every end-to-end
+metric that ``BENCHMARK.json`` declares.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+CONTRACT = json.loads((ROOT / "BENCHMARK.json").read_text())
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_at_least_one_record_is_committed():
+    assert RECORDS
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_record_names_every_end_to_end_metric(path):
+    record = json.loads(path.read_text())
+    assert type(record["pairs"]) is int and record["pairs"] >= 1
+    for key in ("python", "numpy", "nproc"):
+        assert record["host"][key]
+    workloads = {w["name"] for w in CONTRACT["workloads"]}
+    assert set(record["workloads"]) == workloads
+    for name in workloads:
+        for side in ("parent", "change"):
+            metrics = record["workloads"][name][side]
+            for metric in CONTRACT["end_to_end"]:
+                stats = metrics[metric["name"]]
+                assert stats["q1"] <= stats["median"] <= stats["q3"], (name, side, metric)

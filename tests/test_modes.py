@@ -95,6 +95,37 @@ class TestGridBasis:
         assert modes.tolist() != cells.tolist()  # so the formulas can be told apart
 
 
+class TestDensityCache:
+    GRID = Grid(-4.0, 4.0, 64)
+    V = np.random.default_rng(11).normal(size=64) + 1j * np.random.default_rng(12).normal(size=64)
+
+    def _states(self):
+        labels = [f"m{i}" for i in range(64)]
+        return State(self.GRID, self.V), make_state(list(zip(labels, self.V)))
+
+    def test_computed_once_and_read_only(self):
+        for state in self._states():
+            density = state.density()
+            assert state.density() is density
+            assert not density.flags.writeable
+            with pytest.raises(ValueError):
+                density[0] = 0.0
+
+    def test_same_bits_as_a_fresh_square(self):
+        cells, modes = self._states()
+        for _ in range(2):  # the computing call and the cached one
+            assert cells.density().tolist() == (np.abs(self.V) ** 2).tolist()
+            assert modes.density().tolist() == [abs(a) ** 2 for a in self.V.tolist()]
+
+    def test_equality_and_repr_ignore_the_cache(self):
+        # one amplitude, so that two distinct states compare to a plain bool
+        a, b = make_state([("u", 1j)]), make_state([("u", 1j)])
+        before = repr(a)
+        a.density()
+        assert a == b and b == a
+        assert repr(a) == before == repr(b)
+
+
 class TestInner:
     @pytest.mark.parametrize(
         "a, b",

@@ -7,10 +7,13 @@ from scipy import integrate
 
 from nosignal import wavepacket
 from nosignal.measurement import probability, window_projector
-from nosignal.modes import MAX_GRID_POINTS, Grid, combine, inner, norm
+from nosignal.modes import MAX_GRID_POINTS, Grid, State, combine, inner, norm
 from nosignal.wavepacket import (
     CALIBRATION_HALFWIDTHS,
+    CALIBRATION_SEPARATIONS,
+    MIN_USABLE_CONTRAST,
     CalibrationError,
+    CalibrationResult,
     ConditioningError,
     DetectorWindow,
     TruncationError,
@@ -336,6 +339,78 @@ class TestCalibrate:
     def test_scan_halfwidth_box(self):
         assert CALIBRATION_HALFWIDTHS[0] == pytest.approx(0.1)
         assert CALIBRATION_HALFWIDTHS[-1] == pytest.approx(4.0)
+
+
+def _reference_calibrate(grid, sigma):
+    """The calibration scan one window at a time: what ``calibrate`` must equal bit for bit."""
+    best = None
+    for d_over_sigma in CALIBRATION_SEPARATIONS:
+        separation = float(d_over_sigma * sigma)
+        try:
+            pair = orthogonal_pair(grid, separation, sigma)
+        except (TruncationError, ConditioningError):
+            continue
+        h = grid.spacing
+        # looked up in the module, so a test can swap the profiles for both scans
+        cum0 = np.concatenate(([0.0], np.cumsum(wavepacket.recombine(pair, 0.0).density()))) * h
+        cum_pi = np.concatenate(
+            ([0.0], np.cumsum(wavepacket.recombine(pair, math.pi).density()))
+        ) * h
+        for halfwidth in CALIBRATION_HALFWIDTHS:
+            window = symmetric_window(grid, float(halfwidth * sigma))
+            i_lo, i_hi = window_cells(grid, window)
+            p0 = float(cum0[i_hi] - cum0[i_lo])
+            p_pi = float(cum_pi[i_hi] - cum_pi[i_lo])
+            contrast = min(p0, 1.0 - p_pi)
+            if best is None or contrast > best.contrast:
+                best = CalibrationResult(separation, window, contrast, p0, p_pi, sigma)
+    if best is None or best.contrast < MIN_USABLE_CONTRAST:
+        raise CalibrationError("no scanned geometry reached the minimum contrast")
+    return best
+
+
+class TestCalibrateMatchesScalarScan:
+    @pytest.mark.parametrize(
+        "grid, sigma",
+        [
+            (default_grid(), 1.0),
+            (default_grid(2.0), 2.0),
+            (Grid(-12.0, 12.0, 4096), 1.0),  # even cell count
+            (Grid(-7.0, 7.0, 64), 1.0),  # many half-widths snap to one window
+        ],
+        ids=["default", "default-sigma2", "even-4096", "coarse-64"],
+    )
+    def test_same_result_bit_for_bit(self, grid, sigma):
+        got, want = calibrate(grid, sigma), _reference_calibrate(grid, sigma)
+        assert got == want
+        for field in ("separation", "contrast", "p_in_constructive", "p_in_destructive", "sigma"):
+            assert type(getattr(got, field)) is float
+        assert (got.window.lo, got.window.hi) == (want.window.lo, want.window.hi)
+
+    def test_ties_keep_the_first_geometry_in_scan_order(self, grid, monkeypatch):
+        # profiles under which every scanned window at every separation has
+        # contrast exactly 1: all of phi = 0 in the central cells, all of
+        # phi = pi in the outermost ones
+        def step_profile(pair, phi):
+            density = np.zeros(grid.n_points)
+            if phi == 0.0:
+                density[grid.n_points // 2 - 4 : grid.n_points // 2 + 5] = 1.0
+            else:
+                density[:4] = density[-4:] = 1.0
+            return State(grid, np.sqrt(density / (grid.spacing * density.sum())))
+
+        monkeypatch.setattr(wavepacket, "recombine", step_profile)
+        got = calibrate(grid, 1.0)
+        assert got == _reference_calibrate(grid, 1.0)
+        assert got.separation == float(CALIBRATION_SEPARATIONS[0])
+        assert got.window == symmetric_window(grid, float(CALIBRATION_HALFWIDTHS[0]))
+
+    def test_both_refuse_a_grid_no_pair_fits(self):
+        grid = Grid(-5.0, 5.0, 200)
+        with pytest.raises(CalibrationError):
+            _reference_calibrate(grid, 1.0)
+        with pytest.raises(CalibrationError):
+            calibrate(grid, 1.0)
 
 
 class TestGridConvergence:
