@@ -23,6 +23,8 @@ which is exactly why the scheme looks like a transmitter and is not one.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -53,8 +55,11 @@ VARIANTS = (VARIANT_DENSITY, VARIANT_MACH_ZEHNDER)
 
 RECEIVER_LABEL = "receiver"
 
-#: Most trials one row may sample: 128 MiB of uniform draws per row.
+#: Most trials one row may sample.  Memory is bounded by ``_CHUNK`` per
+#: lane whatever the count, so this cap bounds the time a row takes.
 MAX_TRIALS = 2**24
+#: Draws a lane fills and counts at a time: 512 KiB of doubles.
+_CHUNK = 2**16
 #: Most phases :func:`default_phase_sweep` spreads over the circle.
 MAX_PHASES = 2**16
 
@@ -245,6 +250,78 @@ def binomial_band(trials: int, p: float = 0.5) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / trials)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _receiver_frequency(config: ScenarioConfig, stream: int, probs, receiver: int) -> float:
+    """Receiver frequency over ``config.trials`` draws of one stream, ``_CHUNK`` at a time.
+
+    Trial ``i`` still takes draw ``i``, and counts add over chunks, so the
+    result is the one a single batch of every draw gives.
+    """
+    count = 0
+    for start in range(0, config.trials, _CHUNK):
+        draws = trial_uniforms(config.seed, min(_CHUNK, config.trials - start), stream, start)
+        count += count_outcomes(probs, draws)[receiver]
+    return count / config.trials
+
+
+def _sample_row(config: ScenarioConfig, index: int, probs, receiver: int) -> tuple[float, bool]:
+    """Row ``index``'s empirical receiver frequency, and whether it is in band.
+
+    A frequency outside its band is redrawn once, from stream ``2 * index + 1``.
+    """
+    band = binomial_band(config.trials)
+    for stream in (2 * index, 2 * index + 1):
+        empirical = _receiver_frequency(config, stream, probs, receiver)
+        if abs(empirical - 0.5) <= band:
+            return empirical, True
+    return empirical, False
+
+
+def _sample_rows(config: ScenarioConfig, outcomes) -> list[tuple[float, bool]]:
+    """:func:`_sample_row` for every ``(probs, receiver)`` row, in row order.
+
+    The rows are dealt round-robin to lanes: one per usable CPU, but no more
+    than there are rows or ``_CHUNK``-draw chunks of work.  The calling
+    thread runs lane 0; the others run on threads joined before this
+    returns.  Each row's streams are its own, so the lanes share nothing
+    but the list they write each row's result into.  A lane stops at its
+    first failing row, and the failure of the lowest row is raised, as a
+    serial loop would raise it.
+    """
+    n = len(outcomes)
+    lanes = min(_usable_cpus(), n, -(-n * config.trials // _CHUNK))
+    sampled: list = [None] * n
+    errors: dict[int, BaseException] = {}
+
+    def lane(k: int) -> None:
+        for i in range(k, n, lanes):
+            try:
+                sampled[i] = _sample_row(config, i, *outcomes[i])
+            except BaseException as exc:  # raised on the calling thread below
+                errors[i] = exc
+                return
+
+    workers = [threading.Thread(target=lane, args=(k,)) for k in range(1, lanes)]
+    try:
+        for worker in workers:
+            worker.start()
+        lane(0)
+    finally:
+        for worker in workers:
+            if worker.ident is not None:
+                worker.join()
+    if errors:
+        raise errors[min(errors)]
+    return sampled
+
+
 def no_signalling_audit(config: ScenarioConfig) -> AuditReport:
     """Run the full audit over the configured phases.
 
@@ -253,13 +330,12 @@ def no_signalling_audit(config: ScenarioConfig) -> AuditReport:
     probability (which cannot), then samples ``trials`` global outcomes.
     An empirical frequency landing outside its three-sigma band is resampled
     once from the next sub-stream; the retry is itself deterministic, so
-    reports are bit-reproducible.
+    reports are bit-reproducible.  The probabilities are computed first, in
+    row order; the sampling then runs on every usable CPU.
     """
     sender_set = sender_projectors(config)
-    rows = []
-    band = binomial_band(config.trials)
-    all_in_band = True
-    for index, phi in enumerate(config.phases):
+    exact, outcomes = [], []
+    for phi in config.phases:
         state = evolve_sender(build_initial(config), phi, config)
         weight = abs(state.sender_amplitude) ** 2
         branch_probs = sender_set.probabilities(state.sender_state)
@@ -267,31 +343,27 @@ def no_signalling_audit(config: ScenarioConfig) -> AuditReport:
             label: float(weight * p)
             for label, p in zip(sender_set.labels, branch_probs)
         }
-        analytic = receiver_probability(state)
+        exact.append((phi, sender, receiver_probability(state)))
         labels, probs = composite_outcomes(state, sender_set)
-        receiver = labels.index(RECEIVER_LABEL)
-        for stream in (2 * index, 2 * index + 1):
-            draws = trial_uniforms(config.seed, config.trials, stream)
-            empirical = count_outcomes(probs, draws)[receiver] / config.trials
-            if abs(empirical - 0.5) <= band:
-                break
-        else:
-            all_in_band = False
-        rows.append(
-            AuditRow(
-                phi=phi,
-                sender=sender,
-                receiver_analytic=analytic,
-                receiver_empirical=empirical,
-                trials=config.trials,
-            )
+        outcomes.append((probs, labels.index(RECEIVER_LABEL)))
+    sampled = _sample_rows(config, outcomes)
+    all_in_band = all(in_band for _, in_band in sampled)
+    rows = tuple(
+        AuditRow(
+            phi=phi,
+            sender=sender,
+            receiver_analytic=analytic,
+            receiver_empirical=empirical,
+            trials=config.trials,
         )
+        for (phi, sender, analytic), (empirical, _) in zip(exact, sampled)
+    )
     max_deviation = max(abs(row.receiver_analytic - 0.5) for row in rows)
     passed = max_deviation <= ANALYTIC_TOL and all_in_band
     return AuditReport(
         variant=config.variant,
         seed=config.seed,
-        rows=tuple(rows),
+        rows=rows,
         max_deviation=max_deviation,
         verdict="pass" if passed else "fail",
     )

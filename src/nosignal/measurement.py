@@ -237,23 +237,25 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(stream << 64) | seed))
 
 
-def trial_uniforms(seed: int, n: int, stream: int = 0) -> np.ndarray:
-    """Uniform draws for trials ``0..n-1`` of the given stream.
+def trial_uniforms(seed: int, n: int, stream: int = 0, start: int = 0) -> np.ndarray:
+    """Uniform draws for trials ``start..start+n-1`` of the given stream.
 
-    Counter-based: draw ``i`` depends only on ``(seed, stream, i)``.
+    Counter-based: draw ``i`` depends only on ``(seed, stream, i)``.  Philox
+    makes four 64-bit words a block, so the generator jumps ``start // 4``
+    blocks and discards the first ``start % 4`` words of the next.
     """
-    return _philox(seed, stream).random(n)
+    start = operator.index(start)
+    if start < 0:
+        raise ValueError(f"start must be non-negative, got {start}")
+    gen = _philox(seed, stream)
+    gen.bit_generator.advance(start // 4)
+    skip = start % 4
+    return gen.random(skip + n)[skip:]
 
 
 def trial_uniform(seed: int, trial: int, stream: int = 0) -> float:
-    """The single uniform draw for one trial, without generating the batch.
-
-    Random access into the stream: Philox advances by blocks of four
-    64-bit words, so jump to the trial's block and read its word.
-    """
-    gen = _philox(seed, stream)
-    gen.bit_generator.advance(trial // 4)
-    return float(gen.random(trial % 4 + 1)[-1])
+    """The single uniform draw for one trial, without generating the batch."""
+    return float(trial_uniforms(seed, 1, stream, trial)[0])
 
 
 def count_outcomes(probs, draws) -> list[int]:

@@ -95,7 +95,7 @@ def check_basis(basis) -> tuple[tuple[str, ...] | Grid, int]:
     return labels, len(labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """Amplitudes over a basis: distinct mode labels, or the cells of a grid.
 
@@ -103,6 +103,8 @@ class State:
     state.  The amplitude array is stored read-only in double precision.
     On a grid the amplitudes are samples of the wavefunction (units
     ``length^(-1/2)``), and sums over cells are midpoint quadratures.
+    Two states are equal when they share a basis and their amplitudes are
+    the same bits; equal states hash alike.
     """
 
     basis: tuple[str, ...] | Grid
@@ -116,6 +118,14 @@ class State:
             raise ValueError(f"expected {size} amplitudes, got shape {amps.shape}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, State):
+            return NotImplemented
+        return self.basis == other.basis and self.amplitudes.tobytes() == other.amplitudes.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.basis, self.amplitudes.tobytes()))
 
     @property
     def weight(self) -> float:

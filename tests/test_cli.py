@@ -459,3 +459,15 @@ class TestCalibrateCommand:
         result = run_cli("density", "--config", str(cal_path), "--out", str(out), "--verify")
         assert result.returncode == 0, result.stderr
         assert out.exists()
+
+
+def test_cli_import_leaves_the_thread_pool_unimported():
+    # the audit imports concurrent.futures only when it starts sampling
+    # lanes, so a start-up that never samples does not pay for it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    probe = "import sys, nosignal.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"

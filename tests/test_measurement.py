@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nosignal.measurement import (
     IncompleteProjectorSetError,
@@ -355,6 +355,26 @@ class TestSampling:
     def test_random_access_matches_the_batch(self, seed, stream, trial):
         # the jump to draw i is Philox block arithmetic: four 64-bit words a block
         assert trial_uniform(seed, trial, stream) == trial_uniforms(seed, trial + 1, stream)[trial]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        stream=st.integers(0, 2**63 - 1),
+        start=st.integers(0, 2**18),
+        n=st.integers(0, 600),
+    )
+    # starts off the four-word block boundary: the words before them are dropped
+    @example(seed=4, stream=6, start=1, n=9)
+    @example(seed=4, stream=6, start=3, n=1)
+    @example(seed=4, stream=6, start=65537, n=9)
+    def test_a_slice_from_any_start_matches_the_batch(self, seed, stream, start, n):
+        part = trial_uniforms(seed, n, stream, start)
+        assert part.tolist() == trial_uniforms(seed, start + n, stream)[start:].tolist()
+
+    @pytest.mark.parametrize("start", [-1, 2.0])
+    def test_a_start_must_be_a_non_negative_integer(self, start):
+        with pytest.raises((ValueError, TypeError)):
+            trial_uniforms(1, 4, 0, start)
 
     def test_measure_is_deterministic(self, states, calibration, grid):
         pset = pair_partition(calibration.window, grid)

@@ -126,6 +126,51 @@ class TestDensityCache:
         assert repr(a) == before == repr(b)
 
 
+class TestEquality:
+    GRID = Grid(-4.0, 4.0, 64)
+
+    def test_equal_states_compare_equal_and_hash_alike(self):
+        pairs = [
+            (make_state([("u", 1.0), ("l", 0.0)]), make_state([("u", 1.0), ("l", 0.0)])),
+            (State(self.GRID, np.ones(64)), State(Grid(-4.0, 4.0, 64), np.ones(64))),
+        ]
+        for a, b in pairs:
+            b.density()  # the cache plays no part
+            assert a is not b
+            assert (a == b) is True and (b == a) is True
+            assert (a != b) is False
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            make_state([("u", 1.0), ("l", 1e-300)]),  # one amplitude differs
+            make_state([("l", 0.0), ("u", 1.0)]),  # same modes, other order
+            make_state([("u", 1.0), ("l", -0.0)]),  # differs only in the sign bit
+            make_state([("u", 1.0), ("v", 0.0)]),  # other basis, same amplitudes
+        ],
+    )
+    def test_unequal_mode_states(self, other):
+        state = make_state([("u", 1.0), ("l", 0.0)])
+        assert (state == other) is False and (other == state) is False
+        assert state != other
+        assert len({state, other}) == 2
+
+    def test_unequal_grid_states(self):
+        ones = State(self.GRID, np.ones(64))
+        bumped = np.ones(64)
+        bumped[63] = np.nextafter(1.0, 2.0)
+        for other in (State(self.GRID, bumped), State(Grid(-4.0, 4.5, 64), np.ones(64))):
+            assert (ones == other) is False
+            assert len({ones, other}) == 2
+
+    def test_not_equal_to_other_types(self):
+        state = make_state([("u", 1.0)])
+        assert state != (("u",), np.ones(1))
+        assert (state == "u") is False
+
+
 class TestInner:
     @pytest.mark.parametrize(
         "a, b",
