@@ -195,9 +195,16 @@ def cmd_audit(args) -> int:
 def _density_text(grid, columns: list[tuple[str, "object"]], fmt: str) -> str:
     r = grid.points
     if fmt == "json":
-        payload = {"r": r.tolist()}
-        payload.update({name: np.asarray(col).tolist() for name, col in columns})
-        return _json_text(payload)
+        # the indent=2 layout of _json_text, with each flat column written by
+        # the C encoder (json.dumps without indent) and broken one value a line
+        fields = [("r", r), *columns]
+        body = ",\n".join(
+            f'  {json.dumps(name)}: [\n    '
+            + json.dumps(np.asarray(col).tolist())[1:-1].replace(", ", ",\n    ")
+            + "\n  ]"
+            for name, col in fields
+        )
+        return "{\n" + body + "\n}\n"
     header = "r," + ",".join(name for name, _ in columns)
     rows = np.column_stack([r, *(col for _, col in columns)]).tolist()
     return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,17 +98,19 @@ def mode_projector(label: str, basis: Sequence[str], *modes: str) -> Projector:
 
 
 def _born(state: State, projectors) -> list[float]:
-    """Born probability of each projector on ``state``; one density, one gate."""
+    """Born probability of each projector on ``state``; one density, one norm gate."""
     for projector in projectors:
         if projector.basis != state.basis:
             raise ValueError(f"projector {projector.label!r} is not on the state's basis")
-    weight = state.weight
-    density = state.density()
-    norm = math.sqrt(weight * float(np.sum(density)))
+    norm = state.norm()
     if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"state is not normalized (norm {norm:.9f})")
+    weight = state.weight
+    density = state.density()
+    # the ufunc np.sum calls, without its Python wrapper: the same pairwise sum
+    total = np.add.reduce
     return [
-        float(sum(weight * np.sum(density[lo:hi]) for lo, hi in projector.ranges))
+        float(sum(weight * total(density[lo:hi]) for lo, hi in projector.ranges))
         for projector in projectors
     ]
 
@@ -229,12 +232,35 @@ def pair_partition(window: DetectorWindow, grid: Grid) -> ProjectorSet:
 MAX_SEED = 2**63
 
 
+#: One generator per thread, re-keyed on every call, so lanes never share one.
+_generators = threading.local()
+
+
 def _philox(seed: int, stream: int) -> np.random.Generator:
+    """This thread's generator, at counter 0 of the key ``(stream << 64) | seed``.
+
+    Setting the state gives the draws of ``Philox(key=...)`` without the
+    OS-entropy ``SeedSequence`` that building a Philox makes and discards.
+    """
     if not (0 <= seed < MAX_SEED):
         raise ValueError("seed must be a non-negative 63-bit integer")
     if not (0 <= stream < 2**63):
         raise ValueError("stream index out of range")
-    return np.random.Generator(np.random.Philox(key=(stream << 64) | seed))
+    gen = getattr(_generators, "gen", None)
+    if gen is None:
+        gen = _generators.gen = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([seed, stream], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 def trial_uniforms(seed: int, n: int, stream: int = 0, start: int = 0) -> np.ndarray:

@@ -158,6 +158,17 @@ class State:
             object.__setattr__(self, "_density", density)
         return density
 
+    def norm(self) -> float:
+        """Weighted Euclidean norm ``sqrt(w * sum |a_i|^2)`` over :meth:`density`.
+
+        Computed on the first call and kept with the state, like the density.
+        """
+        norm = self.__dict__.get("_norm")
+        if norm is None:
+            norm = math.sqrt(self.weight * float(np.add.reduce(self.density())))
+            object.__setattr__(self, "_norm", norm)
+        return norm
+
 
 def make_state(entries: Iterable[tuple[str, complex]]) -> State:
     """Build a mode state from ``(label, amplitude)`` pairs, in the given order."""
@@ -173,14 +184,14 @@ def _same_basis(a: State, b: State) -> None:
 
 
 def norm(state: State) -> float:
-    """Weighted Euclidean norm ``sqrt(w * sum |a_i|^2)``."""
-    return math.sqrt(state.weight * float(np.sum(state.density())))
+    """Weighted Euclidean norm ``sqrt(w * sum |a_i|^2)``, kept with the state."""
+    return state.norm()
 
 
 def inner(a: State, b: State) -> complex:
     """Inner product ``w * sum conj(a_i) b_i`` of two states on one basis."""
     _same_basis(a, b)
-    return complex(a.weight * np.sum(np.conj(a.amplitudes) * b.amplitudes))
+    return complex(a.weight * np.add.reduce(np.conj(a.amplitudes) * b.amplitudes))
 
 
 def combine(a: State, b: State, ca: complex, cb: complex) -> State:

@@ -66,7 +66,9 @@ def gaussian(grid: Grid, center: float, sigma: float) -> State:
 
     The squared amplitude is then the normal density with standard
     deviation ``sigma``.  Raises :class:`TruncationError` when more than
-    ``TRUNCATION_TOL`` of that probability mass falls outside the grid.
+    ``TRUNCATION_TOL`` of that probability mass falls outside the grid, and
+    ``ValueError`` when the packet is so much narrower than the grid spacing
+    that no sample of it is above 0.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -80,7 +82,13 @@ def gaussian(grid: Grid, center: float, sigma: float) -> State:
         )
     r = grid.points
     raw = np.exp(-((r - center) ** 2) / (4 * sigma**2))
-    scale = math.sqrt(grid.spacing * float(np.sum(raw * raw)))
+    scale = math.sqrt(grid.spacing * float(np.add.reduce(raw * raw)))
+    if not (math.isfinite(scale) and scale > 0):
+        # every sample underflowed: the packet falls between the grid's samples
+        raise ValueError(
+            f"packet of sigma={sigma} is not resolved by the grid spacing "
+            f"{grid.spacing}: every sample underflows to 0"
+        )
     return State(grid, raw / scale)
 
 
@@ -269,7 +277,8 @@ def calibrate(grid: Grid, sigma: float) -> CalibrationResult:
             best = CalibrationResult(
                 separation, windows[k], float(contrast[k]), float(p0[k]), float(p_pi[k]), sigma
             )
-    if best is None or best.contrast < MIN_USABLE_CONTRAST:
+    # written so that a NaN contrast fails the gate too
+    if best is None or not best.contrast >= MIN_USABLE_CONTRAST:
         reached = 0.0 if best is None else best.contrast
         raise CalibrationError(
             f"no scanned geometry reached contrast {MIN_USABLE_CONTRAST} "

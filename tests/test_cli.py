@@ -406,6 +406,14 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
         (("audit",), {"variant": "mach-zehnder", "trials": MAX_TRIALS + 1}, "trials"),
         (("audit", "--variant", "mach-zehnder", "--phi-sweep", "1000000000000"), None,
          "phase sweep"),
+        # every sample of a packet this narrow underflows to 0: normalizing it was 0/0
+        (("density", "--sigma", "0.001", "--r-min", "-8", "--r-max", "8", "--points", "64",
+          "--separation", "0.003", "--halfwidth", "0.5"), None, "sigma=0.001"),
+        (("density", "--sigma", "0.001", "--r-min", "-8", "--r-max", "8", "--points", "64",
+          "--separation", "0.003", "--halfwidth", "0.5", "--format", "json"), None,
+         "sigma=0.001"),
+        (("calibrate", "--sigma", "0.001", "--r-min", "-8", "--r-max", "8", "--points", "64"),
+         None, "sigma=0.001"),
     ],
     ids=[
         "audit-seed-negative", "audit-sigma-nan", "audit-config-trials-string",
@@ -415,6 +423,8 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
         "density-halfwidth-inf", "density-halfwidth-negative", "density-halfwidth-zero",
         "density-halfwidth-nan", "density-config-halfwidth-negative", "density-span-overflows",
         "audit-trials-past-cap", "audit-config-trials-past-cap", "audit-phi-sweep-past-cap",
+        "density-packet-unresolved", "density-json-packet-unresolved",
+        "calibrate-packet-unresolved",
     ],
 )
 def test_bad_value_ends_in_an_error_line(tmp_path, argv, config, message):
@@ -425,7 +435,8 @@ def test_bad_value_ends_in_an_error_line(tmp_path, argv, config, message):
         extra += ["--config", str(path)]
     result = run_cli(*argv, *extra, "--out", str(tmp_path / "out"))
     assert result.returncode == 1
-    assert "Traceback" not in result.stderr
+    assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("error:") and message in result.stderr
     assert not (tmp_path / "out").exists()
 

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from nosignal.measurement import (
     Projector,
     ProjectorSet,
     ZeroNormReductionError,
+    _born,
     count_outcomes,
     measure,
     mode_projector,
@@ -123,6 +125,18 @@ class TestProbability:
                     with pytest.raises(ValueError, match="not normalized"):
                         probability(candidate, projector)
 
+    def test_input_gate_holds_on_every_call(self, grid):
+        # the norm is kept with the state; the gate still reads it each time
+        psi = gaussian(grid, 0.0, 1.0)
+        window = window_projector("in", grid, DetectorWindow(-1.0, 1.0))
+        stretched = State(grid, psi.amplitudes * 1.01)
+        modes = make_state([("u", 1.0), ("l", 1.0)])
+        u = mode_projector("u", modes.basis, "u")
+        for state, projector in ((stretched, window), (modes, u)):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="not normalized"):
+                    probability(state, projector)
+
     def test_input_gate_rejects_nan_states(self, grid):
         nan_wave = State(grid, np.full(grid.n_points, math.nan))
         window = window_projector("in", grid, DetectorWindow(-1.0, 1.0))
@@ -132,6 +146,42 @@ class TestProbability:
             with pytest.raises(ValueError, match="not normalized"):
                 probability(state, projector)
 
+
+
+def _unit_state(basis, amplitudes) -> State:
+    state = State(basis, amplitudes)
+    return State(basis, amplitudes / state.norm())
+
+
+class TestBornSums:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        on_grid=st.booleans(),
+        size=st.integers(64, 300),
+        data=st.data(),
+    )
+    def test_equal_to_np_sum_bit_for_bit(self, seed, on_grid, size, data):
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=size) + 1j * rng.normal(size=size)
+        raw *= np.exp(rng.uniform(-30.0, 0.0, size=size))  # densities over many scales
+        basis = Grid(-3.0, 5.0, size) if on_grid else tuple(f"m{i}" for i in range(size))
+        state = _unit_state(basis, raw)
+        a = state.amplitudes
+        # the density each basis keeps: one numpy call on cells, Python squares on modes
+        density = np.abs(a) ** 2 if on_grid else np.array([abs(x) ** 2 for x in a.tolist()])
+        weight = basis.spacing if on_grid else 1.0
+        projectors = []
+        for k in range(data.draw(st.integers(1, 4))):
+            cuts = data.draw(st.lists(st.integers(0, size), max_size=8, unique=True))
+            edges = sorted(cuts)
+            ranges = tuple(zip(edges[::2], edges[1::2]))
+            projectors.append(Projector(f"p{k}", basis, ranges))
+        expected = [
+            float(sum(weight * np.sum(density[lo:hi]) for lo, hi in p.ranges)) for p in projectors
+        ]
+        assert _born(state, projectors) == expected
+        assert [probability(state, p) for p in projectors] == expected
 
 
 class TestProjectorConstruction:
@@ -370,6 +420,29 @@ class TestSampling:
     def test_a_slice_from_any_start_matches_the_batch(self, seed, stream, start, n):
         part = trial_uniforms(seed, n, stream, start)
         assert part.tolist() == trial_uniforms(seed, start + n, stream)[start:].tolist()
+
+    def test_threads_drawing_at_once_match_the_serial_draws(self):
+        # every thread re-keys its own generator; a shared one would mix the streams
+        calls = [
+            (seed, 1 + 400 * (k % 4), stream, 3 * k)
+            for k in range(200)
+            for seed, stream in ((7, 2), (8, 3))
+        ]
+        serial = [trial_uniforms(*call).tolist() for call in calls]
+        results = {}
+        barrier = threading.Barrier(2)
+
+        def draw(part):
+            barrier.wait()
+            results[part] = [trial_uniforms(*call).tolist() for call in calls[part::2]]
+
+        threads = [threading.Thread(target=draw, args=(part,)) for part in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert results[0] == serial[0::2] and results[1] == serial[1::2]
 
     @pytest.mark.parametrize("start", [-1, 2.0])
     def test_a_start_must_be_a_non_negative_integer(self, start):

@@ -126,6 +126,42 @@ class TestDensityCache:
         assert repr(a) == before == repr(b)
 
 
+class TestNormCache:
+    GRID = Grid(-4.0, 4.0, 64)
+    # seeds where the two density formulas give norms one bit apart
+    V = np.random.default_rng(24).normal(size=64) + 1j * np.random.default_rng(25).normal(size=64)
+
+    def _states(self):
+        labels = [f"m{i}" for i in range(64)]
+        return State(self.GRID, self.V), make_state(list(zip(labels, self.V)))
+
+    def test_computed_once_and_kept(self):
+        for state in self._states():
+            value = state.norm()
+            assert state.norm() is value
+            assert norm(state) is value
+
+    def test_same_bits_as_a_fresh_sum(self):
+        # each basis sums its own density formula (see the density tests)
+        cells, modes = self._states()
+        h = self.GRID.spacing
+        for _ in range(2):  # the computing call and the cached one
+            assert cells.norm() == math.sqrt(h * float(np.sum(np.abs(self.V) ** 2)))
+            assert modes.norm() == math.sqrt(
+                1.0 * float(np.sum(np.array([abs(a) ** 2 for a in self.V.tolist()])))
+            )
+        assert modes.norm() != math.sqrt(float(np.sum(np.abs(self.V) ** 2)))
+
+    def test_equality_hash_and_repr_ignore_the_cache(self):
+        for make in (lambda: State(self.GRID, self.V), lambda: make_state([("u", 1j)])):
+            a, b = make(), make()
+            before = repr(a)
+            a.norm()
+            assert a == b and b == a
+            assert hash(a) == hash(b)
+            assert repr(a) == before == repr(b)
+
+
 class TestEquality:
     GRID = Grid(-4.0, 4.0, 64)
 

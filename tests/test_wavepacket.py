@@ -126,6 +126,11 @@ class TestGaussian:
         with pytest.raises(ValueError):
             gaussian(grid, 0.0, -1.0)
 
+    def test_packet_between_the_samples_refused(self):
+        # sigma far below the spacing: every sample underflows to 0
+        with pytest.raises(ValueError, match="sigma=0.001.*spacing 0.25"):
+            gaussian(Grid(-8.0, 8.0, 64), 0.0015, 0.001)
+
 
 class TestOrthogonalPair:
     def test_overlap_matches_closed_form_at_6_sigma(self, grid):
@@ -335,6 +340,15 @@ class TestCalibrate:
     def test_absurd_grid_fails_calibration(self):
         with pytest.raises(CalibrationError):
             calibrate(Grid(-2.0, 2.0, 64), 1.0)
+
+    def test_nan_contrast_fails_calibration(self, grid, monkeypatch):
+        # a NaN compares false with everything, so it must not pass the gate
+        def nan_profile(pair, phi):
+            return State(grid, np.full(grid.n_points, math.nan))
+
+        monkeypatch.setattr(wavepacket, "recombine", nan_profile)
+        with pytest.raises(CalibrationError, match="best nan"):
+            calibrate(grid, 1.0)
 
     def test_scan_halfwidth_box(self):
         assert CALIBRATION_HALFWIDTHS[0] == pytest.approx(0.1)
