@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from .optics import mz_output
 from .measurement import (
     MAX_SEED,
     ProjectorSet,
+    ZeroNormReductionError,
+    _born,
     count_outcomes,
     mode_projector,
     pair_partition,
@@ -190,14 +192,26 @@ def composite_outcomes(
 def reduce_composite(
     state: CompositeState, outcome: str, sender_set: ProjectorSet
 ) -> CompositeState:
-    """Collapse the global state on one outcome of the global partition."""
+    """Collapse the global state on one outcome of the global partition.
+
+    Raises :class:`ZeroNormReductionError` when the outcome's global
+    probability is below ``REDUCTION_EPS``, as :func:`reduce` does.
+    """
     if outcome == RECEIVER_LABEL:
-        phase = state.receiver_amplitude / abs(state.receiver_amplitude)
+        amplitude = state.receiver_amplitude
+        p = abs(amplitude) ** 2
+    else:
+        projector = sender_set.projectors[sender_set.labels.index(outcome)]
+        amplitude = state.sender_amplitude
+        p = abs(amplitude) ** 2 * _born(state.sender_state, [projector])[0]
+    if p < REDUCTION_EPS:
+        raise ZeroNormReductionError(
+            f"outcome {outcome!r} has global probability {p:.3e} < {REDUCTION_EPS}"
+        )
+    phase = amplitude / abs(amplitude)
+    if outcome == RECEIVER_LABEL:
         return CompositeState(phase, 0j, state.sender_state)
-    index = sender_set.labels.index(outcome)
-    reduced_branch = reduce(state.sender_state, sender_set.projectors[index])
-    phase = state.sender_amplitude / abs(state.sender_amplitude)
-    return CompositeState(0j, phase, reduced_branch)
+    return CompositeState(0j, phase, reduce(state.sender_state, projector))
 
 
 def receiver_probability_after_sender_measurement(
@@ -242,7 +256,9 @@ class AuditReport:
     verdict: str
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The report as ``dataclasses.asdict`` gives it, built without its deep copy."""
+        rows = tuple({**vars(row), "sender": dict(row.sender)} for row in self.rows)
+        return {**vars(self), "rows": rows}
 
 
 def binomial_band(trials: int, p: float = 0.5) -> float:

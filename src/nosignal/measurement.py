@@ -98,21 +98,29 @@ def mode_projector(label: str, basis: Sequence[str], *modes: str) -> Projector:
 
 
 def _born(state: State, projectors) -> list[float]:
-    """Born probability of each projector on ``state``; one density, one norm gate."""
+    """Born probability of each projector on ``state``; one density, one norm gate.
+
+    Each projector's probability is summed on first use and kept with the
+    state, keyed by the projector's ranges (the basis is checked equal), like
+    the density and the norm.  The basis check and the norm gate still run
+    on every call.
+    """
     for projector in projectors:
         if projector.basis != state.basis:
             raise ValueError(f"projector {projector.label!r} is not on the state's basis")
     norm = state.norm()
     if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"state is not normalized (norm {norm:.9f})")
-    weight = state.weight
-    density = state.density()
-    # the ufunc np.sum calls, without its Python wrapper: the same pairwise sum
-    total = np.add.reduce
-    return [
-        float(sum(weight * total(density[lo:hi]) for lo, hi in projector.ranges))
-        for projector in projectors
-    ]
+    born = vars(state).setdefault("_born", {})
+    missing = [projector.ranges for projector in projectors if projector.ranges not in born]
+    if missing:
+        weight = state.weight
+        density = state.density()
+        # the ufunc np.sum calls, without its Python wrapper: the same pairwise sum
+        total = np.add.reduce
+        for ranges in missing:
+            born[ranges] = float(sum(weight * total(density[lo:hi]) for lo, hi in ranges))
+    return [born[projector.ranges] for projector in projectors]
 
 
 def probability(state: State, projector: Projector) -> float:
@@ -131,10 +139,10 @@ def reduce(state: State, projector: Projector) -> State:
             f"outcome {projector.label!r} has probability {p:.3e} < {REDUCTION_EPS}"
         )
     scale = 1.0 / math.sqrt(p)
-    collapsed = np.zeros_like(state.amplitudes)
+    collapsed = np.zeros(len(state.amplitudes), dtype=np.complex128)
     for lo, hi in projector.ranges:
-        collapsed[lo:hi] = state.amplitudes[lo:hi] * scale
-    return State(state.basis, collapsed)
+        np.multiply(state.amplitudes[lo:hi], scale, out=collapsed[lo:hi])
+    return State._adopt(state.basis, collapsed)
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,21 @@ class State:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
+    @classmethod
+    def _adopt(cls, basis, amplitudes: np.ndarray) -> State:
+        """A state on a checked basis that keeps ``amplitudes`` itself, with no copy.
+
+        For a complex128 array its caller has just made and hands over;
+        anything else goes through the copying constructor.
+        """
+        if amplitudes.dtype != np.complex128:
+            return cls(basis, amplitudes)
+        state = object.__new__(cls)
+        object.__setattr__(state, "basis", basis)
+        amplitudes.setflags(write=False)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        return state
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, State):
             return NotImplemented
@@ -197,4 +212,6 @@ def inner(a: State, b: State) -> complex:
 def combine(a: State, b: State, ca: complex, cb: complex) -> State:
     """Superposition ``ca*a + cb*b`` of two states on one basis."""
     _same_basis(a, b)
-    return State(a.basis, ca * a.amplitudes + cb * b.amplitudes)
+    amplitudes = ca * a.amplitudes
+    amplitudes += cb * b.amplitudes
+    return State._adopt(a.basis, amplitudes)

@@ -89,7 +89,8 @@ def gaussian(grid: Grid, center: float, sigma: float) -> State:
             f"packet of sigma={sigma} is not resolved by the grid spacing "
             f"{grid.spacing}: every sample underflows to 0"
         )
-    return State(grid, raw / scale)
+    raw /= scale
+    return State._adopt(grid, raw.astype(np.complex128))
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,8 @@ def _orthogonal_pair(grid: Grid, separation: float, width: float) -> PacketPair:
         )
     even = combine(g_up, g_lo, 1.0, 1.0)
     odd = combine(g_up, g_lo, 1.0, -1.0)
-    even = State(grid, even.amplitudes / norm(even))
-    odd = State(grid, odd.amplitudes / norm(odd))
+    even = State._adopt(grid, even.amplitudes / norm(even))
+    odd = State._adopt(grid, odd.amplitudes / norm(odd))
     inv_sqrt2 = 1 / math.sqrt(2)
     upper = combine(even, odd, inv_sqrt2, inv_sqrt2)
     lower = combine(even, odd, inv_sqrt2, -inv_sqrt2)

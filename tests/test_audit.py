@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -27,6 +28,7 @@ from nosignal.audit import (
 from nosignal.measurement import (
     IncompleteProjectorSetError,
     ProjectorSet,
+    ZeroNormReductionError,
     count_outcomes,
     mode_projector,
     pair_partition,
@@ -239,6 +241,22 @@ class TestSenderMeasurement:
         clicked = reduce_composite(evolved, "H", pset)
         assert receiver_probability(clicked) == 0.0
 
+    def test_collapse_onto_an_outcome_of_zero_global_weight_refused(self, mz_config):
+        # after a click the other branch has global probability 0, in both directions
+        evolved = evolve_sender(build_initial(mz_config), 0.0, mz_config)
+        pset = sender_projectors(mz_config)
+        clicked = reduce_composite(evolved, "H", pset)
+        with pytest.raises(
+            ZeroNormReductionError, match=r"'receiver' has global probability 0\.000e\+00"
+        ):
+            reduce_composite(clicked, "receiver", pset)
+        collapsed = reduce_composite(evolved, "receiver", pset)
+        for label in pset.labels:
+            with pytest.raises(
+                ZeroNormReductionError, match=rf"'{label}' has global probability 0\.000e\+00"
+            ):
+                reduce_composite(collapsed, label, pset)
+
     def test_incomplete_sender_partition_rejected(self):
         cal = default_calibration()
         with pytest.raises(IncompleteProjectorSetError):
@@ -280,6 +298,19 @@ class TestAuditReport:
         a = no_signalling_audit(mz_config).to_json_dict()
         b = no_signalling_audit(mz_config).to_json_dict()
         assert json.dumps(a) == json.dumps(b)
+
+    @pytest.mark.parametrize("variant", [VARIANT_MACH_ZEHNDER, VARIANT_DENSITY])
+    def test_report_dict_is_asdict_without_the_deep_copy(self, variant):
+        report = no_signalling_audit(_config(variant, trials=50))
+        data = report.to_json_dict()
+        assert data == dataclasses.asdict(report)
+        assert list(data) == list(dataclasses.asdict(report))
+        assert list(data["rows"][0]) == list(dataclasses.asdict(report.rows[0]))
+        before = dataclasses.asdict(report)
+        data["rows"][0]["sender"]["injected"] = 1.0
+        data["rows"][0]["phi"] = -1.0
+        data["verdict"] = "changed"
+        assert dataclasses.asdict(report) == before
 
     def test_report_json_schema(self, mz_config):
         data = no_signalling_audit(mz_config).to_json_dict()

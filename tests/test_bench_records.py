@@ -33,3 +33,13 @@ def test_record_names_every_end_to_end_metric(path):
             for metric in CONTRACT["end_to_end"]:
                 stats = metrics[metric["name"]]
                 assert stats["q1"] <= stats["median"] <= stats["q3"], (name, side, metric)
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_record_has_one_seed_per_pair_and_byte_identical_correct_runs(path):
+    # a speed-up counts only when every run is correct and every report keeps its bytes
+    record = json.loads(path.read_text())
+    assert len(record["protocol"]["seeds"]) == record["pairs"]
+    for name, workload in record["workloads"].items():
+        assert workload["every_run_correct"] is True, name
+        assert workload["sha256_identical_every_pair"] is True, name

@@ -25,7 +25,7 @@ from nosignal.measurement import (
     trial_uniforms,
     window_projector,
 )
-from nosignal.modes import Grid, State, make_state
+from nosignal.modes import Grid, State, combine, make_state
 from nosignal.tolerances import REDUCTION_EPS
 from nosignal.wavepacket import (
     DetectorWindow,
@@ -180,8 +180,82 @@ class TestBornSums:
         expected = [
             float(sum(weight * np.sum(density[lo:hi]) for lo, hi in p.ranges)) for p in projectors
         ]
-        assert _born(state, projectors) == expected
-        assert [probability(state, p) for p in projectors] == expected
+        for _ in range(2):  # the summing call, then the kept values
+            assert _born(state, projectors) == expected
+            assert [probability(state, p) for p in projectors] == expected
+        # a complete set over the same cuts, through ProjectorSet.probabilities
+        bounds = sorted({0, size, *cuts})
+        spans = list(zip(bounds, bounds[1:]))
+        tiling = ProjectorSet(
+            tuple(Projector(f"t{i}", basis, (span,)) for i, span in enumerate(spans))
+        )
+        expected = [float(weight * np.sum(density[lo:hi])) for lo, hi in spans]
+        for _ in range(2):
+            assert tiling.probabilities(state).tolist() == expected
+
+    def test_kept_sums_do_not_bypass_the_basis_check(self, grid, states):
+        # a projector with the same ranges on another basis is still refused
+        psi = states["constructive"]
+        cells = ((100, 200),)
+        assert probability(psi, Projector("a", grid, cells)) > 0
+        other = Grid(grid.r_min, grid.r_max + 1.0, grid.n_points)
+        with pytest.raises(ValueError, match="'b' is not on the state's basis"):
+            probability(psi, Projector("b", other, cells))
+
+
+class TestOneAllocation:
+    """States built by the library own a fresh read-only array, equal to the copying path."""
+
+    def _built(self, grid, pair, states, calibration):
+        """``(state, its input states, its amplitudes computed here)`` per builder."""
+        up, lo = pair.upper, pair.lower
+        psi = states["constructive"]
+        c = np.exp(0.7j) * INV_SQRT2
+        window = window_projector("in", grid, calibration.window)
+        i_lo, i_hi = window_cells(grid, calibration.window)
+        scaled = np.zeros_like(psi.amplitudes)
+        scaled[i_lo:i_hi] = psi.amplitudes[i_lo:i_hi] * (1.0 / math.sqrt(probability(psi, window)))
+        modes = make_state([("u", 0.6j), ("l", 0.8)])
+        h = grid.spacing
+        d = calibration.separation
+        g_up, g_lo = (gaussian(grid, x, 1.0).amplitudes for x in (d / 2, -d / 2))
+        even, odd = 1.0 * g_up + 1.0 * g_lo, 1.0 * g_up + -1.0 * g_lo
+        even = even / math.sqrt(h * float(np.sum(np.abs(even) ** 2)))
+        odd = odd / math.sqrt(h * float(np.sum(np.abs(odd) ** 2)))
+        raw = np.exp(-((grid.points - 0.25) ** 2) / 4)
+        return [
+            (combine(up, lo, 0.3, c), [up, lo], 0.3 * up.amplitudes + c * lo.amplitudes),
+            (recombine(pair, 0.7), [up, lo], INV_SQRT2 * up.amplitudes + c * lo.amplitudes),
+            (reduce(psi, window), [psi], scaled),
+            (reduce(modes, mode_projector("u", modes.basis, "u")), [modes], [1j, 0.0]),
+            (gaussian(grid, 0.25, 1.0), [], raw / math.sqrt(h * float(np.sum(raw * raw)))),
+            (up, [lo], INV_SQRT2 * even + INV_SQRT2 * odd),
+            (lo, [up], INV_SQRT2 * even + -INV_SQRT2 * odd),
+        ]
+
+    def test_read_only_unshared_and_equal_to_the_public_constructor(
+        self, grid, pair, states, calibration
+    ):
+        for state, inputs, reference in self._built(grid, pair, states, calibration):
+            a = state.amplitudes
+            assert a.dtype == np.complex128 and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+            for other in inputs:
+                assert not np.shares_memory(a, other.amplitudes)
+            # bit for bit: the same array through the copying constructor, and
+            # the arithmetic of each builder written here
+            assert State(state.basis, a) == state
+            assert State(state.basis, reference) == state
+
+    def test_public_constructor_keeps_its_own_copy(self, grid):
+        cases = ((grid, np.full(grid.n_points, 0.5 + 0.5j)), (("u", "l"), np.array([0.6j, 0.8])))
+        for basis, values in cases:
+            state = State(basis, values)
+            before = state.amplitudes.tobytes()
+            assert not np.shares_memory(state.amplitudes, values)
+            values[0] = 7.0
+            assert state.amplitudes.tobytes() == before
 
 
 class TestProjectorConstruction:

@@ -12,6 +12,7 @@ from nosignal.modes import (
     make_state,
     norm,
 )
+from nosignal.measurement import Projector, mode_projector, probability
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -160,6 +161,26 @@ class TestNormCache:
             assert a == b and b == a
             assert hash(a) == hash(b)
             assert repr(a) == before == repr(b)
+
+
+class TestBornCache:
+    GRID = Grid(-4.0, 4.0, 64)
+
+    def test_equality_hash_and_repr_ignore_the_cache(self):
+        cell = State(self.GRID, np.full(64, 1.0))
+        cell = State(self.GRID, cell.amplitudes / cell.norm())
+        cases = (
+            (cell, Projector("in", self.GRID, ((10, 30),))),
+            (make_state([("u", 0.6j), ("l", 0.8)]), mode_projector("u", ("u", "l"), "u")),
+        )
+        for state, projector in cases:
+            twin = State(state.basis, state.amplitudes)
+            before = repr(state)
+            probability(state, projector)
+            assert "_born" in vars(state) and "_born" not in vars(twin)
+            assert state == twin and twin == state
+            assert hash(state) == hash(twin)
+            assert repr(state) == before == repr(twin)
 
 
 class TestEquality:
