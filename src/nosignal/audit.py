@@ -129,14 +129,20 @@ def default_phase_sweep(n: int = 64) -> tuple[float, ...]:
     return tuple(sorted(set(values.tolist()) | {0.0, math.pi}))
 
 
+#: The initial state is the same for every config; it is immutable, so one serves all.
+_INITIAL = CompositeState(
+    receiver_amplitude=1 / math.sqrt(2),
+    sender_amplitude=1 / math.sqrt(2),
+    sender_state=make_state([("in", 1.0)]),
+)
+
+
 def build_initial(config: ScenarioConfig) -> CompositeState:
-    """Equal-weight superposition of the receiver branch and the inbound packet."""
-    amp = 1 / math.sqrt(2)
-    return CompositeState(
-        receiver_amplitude=amp,
-        sender_amplitude=amp,
-        sender_state=make_state([("in", 1.0)]),
-    )
+    """Equal-weight superposition of the receiver branch and the inbound packet.
+
+    The same immutable state for every config, built once at import.
+    """
+    return _INITIAL
 
 
 def evolve_sender(
@@ -185,7 +191,9 @@ def composite_outcomes(
         raise ValueError(f"sender outcomes may not use the label {RECEIVER_LABEL!r}")
     weight = abs(state.sender_amplitude) ** 2
     branch_probs = sender_set.probabilities(state.sender_state)
-    probs = np.append(weight * branch_probs, receiver_probability(state))
+    probs = np.empty(len(branch_probs) + 1)
+    np.multiply(weight, branch_probs, out=probs[:-1])
+    probs[-1] = receiver_probability(state)
     return sender_set.labels + (RECEIVER_LABEL,), probs
 
 

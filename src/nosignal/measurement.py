@@ -21,6 +21,7 @@ still takes the outcome draw ``i`` selects.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import threading
@@ -171,8 +172,9 @@ class ProjectorSet:
             raise IncompleteProjectorSetError(f"projector set leaves {where} in no outcome")
         object.__setattr__(self, "projectors", projectors)
 
-    @property
+    @functools.cached_property
     def labels(self) -> tuple[str, ...]:
+        """Outcome labels in outcome order, computed once and kept with the set."""
         return tuple(p.label for p in self.projectors)
 
     def probabilities(self, state: State) -> np.ndarray:
@@ -243,12 +245,19 @@ MAX_SEED = 2**63
 #: One generator per thread, re-keyed on every call, so lanes never share one.
 _generators = threading.local()
 
+#: The counter and the buffer of a fresh key.  The state setter copies each
+#: word into the generator, so every call and every thread passes this array.
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+_ZERO_WORDS.setflags(write=False)
+
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
     """This thread's generator, at counter 0 of the key ``(stream << 64) | seed``.
 
     Setting the state gives the draws of ``Philox(key=...)`` without the
     OS-entropy ``SeedSequence`` that building a Philox makes and discards.
+    The setter reads the words one by one, so the key goes in as a tuple of
+    ints and the re-key makes no array.
     """
     if not (0 <= seed < MAX_SEED):
         raise ValueError("seed must be a non-negative 63-bit integer")
@@ -260,10 +269,10 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
     gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([seed, stream], dtype=np.uint64),
+            "counter": _ZERO_WORDS,
+            "key": (seed, stream),
         },
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer": _ZERO_WORDS,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -282,7 +291,8 @@ def trial_uniforms(seed: int, n: int, stream: int = 0, start: int = 0) -> np.nda
     if start < 0:
         raise ValueError(f"start must be non-negative, got {start}")
     gen = _philox(seed, stream)
-    gen.bit_generator.advance(start // 4)
+    if start >= 4:  # a fresh key is already at block 0
+        gen.bit_generator.advance(start // 4)
     skip = start % 4
     return gen.random(skip + n)[skip:]
 

@@ -11,6 +11,7 @@ spatial wave packets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -67,15 +68,19 @@ class Grid:
     def center(self) -> float:
         return 0.5 * (self.r_min + self.r_max)
 
-    @property
+    @functools.cached_property
     def points(self) -> np.ndarray:
         """Sample positions, built symmetrically about the grid center.
 
         The symmetric form keeps mirror pairs exact in floating point and
         places a sample exactly at the center when ``n_points`` is odd.
+        Computed on first use and kept, read-only, with the grid; equality
+        and hashing still see only the three fields.
         """
         n = self.n_points
-        return (np.arange(n) - (n - 1) / 2) * self.spacing + self.center
+        points = (np.arange(n) - (n - 1) / 2) * self.spacing + self.center
+        points.setflags(write=False)
+        return points
 
     def edge_value(self, index: int) -> float:
         """Position of cell edge ``index`` (0 .. n_points)."""

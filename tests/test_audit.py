@@ -14,6 +14,7 @@ from nosignal.audit import (
     ScenarioConfig,
     VARIANT_DENSITY,
     VARIANT_MACH_ZEHNDER,
+    VARIANTS,
     binomial_band,
     build_initial,
     composite_outcomes,
@@ -36,7 +37,7 @@ from nosignal.measurement import (
     trial_uniforms,
     window_projector,
 )
-from nosignal.modes import State, norm
+from nosignal.modes import State, make_state, norm
 from nosignal.optics import Circuit, apply, custom_element
 from nosignal.wavepacket import DetectorWindow, default_calibration, default_grid
 
@@ -74,6 +75,31 @@ class TestBuildInitial:
         state = build_initial(mz_config)
         total = abs(state.receiver_amplitude) ** 2 + abs(state.sender_amplitude) ** 2
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_read_only_state_for_every_config(self, mz_config, density_config):
+        state = build_initial(mz_config)
+        other = ScenarioConfig(VARIANT_DENSITY, (0.5,), trials=7, seed=11, sigma=2.5)
+        for config in (mz_config, density_config, other):
+            assert build_initial(config) is state
+        assert state == CompositeState(1 / math.sqrt(2), 1 / math.sqrt(2), make_state([("in", 1.0)]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.receiver_amplitude = 1.0
+        with pytest.raises(ValueError):
+            state.sender_state.amplitudes[0] = 0.0
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_evolving_it_equals_evolving_a_fresh_state(self, variant):
+        config = _config(variant, phases=(0.0, 1.1, math.pi))
+        fresh = CompositeState(1 / math.sqrt(2), 1 / math.sqrt(2), make_state([("in", 1.0)]))
+        pset = sender_projectors(config)
+        for phi in config.phases:
+            kept = evolve_sender(build_initial(config), phi, config)
+            built = evolve_sender(fresh, phi, config)
+            assert kept == built
+            assert kept.sender_state.amplitudes.tobytes() == built.sender_state.amplitudes.tobytes()
+            assert composite_outcomes(kept, pset)[1].tobytes() == (
+                composite_outcomes(built, pset)[1].tobytes()
+            )
 
 
 class TestEvolveSender:
@@ -240,6 +266,25 @@ class TestSenderMeasurement:
         assert receiver_probability(collapsed) == pytest.approx(1.0, abs=1e-12)
         clicked = reduce_composite(evolved, "H", pset)
         assert receiver_probability(clicked) == 0.0
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_outcome_vector_equals_an_append_reference(self, variant):
+        config = _config(variant, phases=default_phase_sweep(16))
+        partitions = [sender_projectors(config)]
+        if variant == VARIANT_DENSITY:
+            partitions.append(three_counter_partition(config.window, config.grid))
+        for pset in partitions:
+            for phi in config.phases:
+                state = evolve_sender(build_initial(config), phi, config)
+                labels, probs = composite_outcomes(state, pset)
+                weight = abs(state.sender_amplitude) ** 2
+                reference = np.append(
+                    weight * pset.probabilities(state.sender_state),
+                    abs(state.receiver_amplitude) ** 2,
+                )
+                assert labels == (*pset.labels, "receiver")
+                assert probs.dtype == reference.dtype
+                assert probs.tobytes() == reference.tobytes()
 
     def test_collapse_onto_an_outcome_of_zero_global_weight_refused(self, mz_config):
         # after a click the other branch has global probability 0, in both directions

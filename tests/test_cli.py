@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -482,3 +483,31 @@ def test_cli_import_leaves_the_thread_pool_unimported():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_a_report_gets_the_mode_a_new_file_gets(tmp_path, umask, mode):
+    out = tmp_path / "v.json"
+    fresh = tmp_path / "fresh.txt"
+    old = os.umask(umask)
+    try:
+        assert cli.main(["validate", "--circuit", "shiekh", "--out", str(out)]) == 0
+        with open(fresh, "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == mode == stat.S_IMODE(fresh.stat().st_mode)
+
+
+def test_a_failed_rename_keeps_the_old_report_and_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_bytes(b'{"old": true}\n')
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        cli._write_output(str(target), '{"new": true}\n')
+    assert target.read_bytes() == b'{"old": true}\n'
+    assert list(tmp_path.iterdir()) == [target]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nosignal import measurement
 from nosignal.measurement import (
     IncompleteProjectorSetError,
     Projector,
@@ -345,6 +346,17 @@ class TestProjectorSets:
         assert probs.sum() == pytest.approx(1.0, abs=1e-8)
         assert pset.labels == ("in", "out")
 
+    def test_labels_kept_without_changing_equality_or_hash(self, calibration, grid):
+        a = three_counter_partition(calibration.window, grid)
+        b = three_counter_partition(calibration.window, grid)
+        before = hash(a)
+        labels = a.labels
+        assert labels == ("left", "in", "right")
+        assert a.labels is labels
+        assert a == b and b == a
+        assert hash(a) == hash(b) == before
+        assert repr(a) == repr(b)
+
     def test_outcome_records_table(self, states, calibration, grid):
         pset = three_counter_partition(calibration.window, grid)
         records = outcome_records(states["destructive"], pset)
@@ -517,6 +529,17 @@ class TestSampling:
             thread.join(timeout=60)
             assert not thread.is_alive()
         assert results[0] == serial[0::2] and results[1] == serial[1::2]
+        # every re-key passes the module's zero counter and buffer; none writes them
+        assert measurement._ZERO_WORDS.tolist() == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("start", [0, 1, 3, 4, 5, 65537])
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (12345, 7), (2**63 - 1, 2**63 - 1)])
+    def test_draws_equal_a_freshly_keyed_philox(self, seed, stream, start):
+        n = 9
+        fresh = np.random.Generator(np.random.Philox(key=(stream << 64) | seed))
+        expected = fresh.random(start + n)[start:]
+        trial_uniforms(seed ^ 1, 3, stream ^ 1, 5)  # leave this thread's generator mid-block
+        assert trial_uniforms(seed, n, stream, start).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("start", [-1, 2.0])
     def test_a_start_must_be_a_non_negative_integer(self, start):

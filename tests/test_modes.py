@@ -83,6 +83,23 @@ class TestGridBasis:
         with pytest.raises(ValueError, match="no mode labels"):
             State(self.GRID, np.ones(64)).amplitude("u")
 
+    @pytest.mark.parametrize(
+        "grid", [GRID, Grid(-12.5, 9.0, 4097), Grid(1.0, 3.0, 65)], ids=["64", "4097", "65"]
+    )
+    def test_points_kept_read_only_without_changing_equality_or_hash(self, grid):
+        twin = Grid(grid.r_min, grid.r_max, grid.n_points)
+        before = hash(grid)
+        points = grid.points
+        assert grid.points is points and not points.flags.writeable
+        with pytest.raises(ValueError):
+            points[0] = 0.0
+        n = grid.n_points
+        reference = (np.arange(n) - (n - 1) / 2) * grid.spacing + grid.center
+        assert points.dtype == reference.dtype and points.tobytes() == reference.tobytes()
+        assert grid == twin and twin == grid
+        assert hash(grid) == hash(twin) == before
+        assert repr(grid) == repr(twin)
+
     def test_each_basis_keeps_its_own_density_formula(self):
         # modes square one amplitude at a time in Python, cells in one numpy
         # call; the two can differ in the last bit, and reports keep each

@@ -183,6 +183,10 @@ class TestOrthogonalPair:
     def test_same_geometry_returns_the_same_read_only_pair(self, grid):
         pair = orthogonal_pair(grid, 1.25, 1.0)
         assert orthogonal_pair(grid, 1.25, 1.0) is pair
+        # an equal grid is the same key, whether or not its points were read
+        twin = Grid(grid.r_min, grid.r_max, grid.n_points)
+        twin.points
+        assert orthogonal_pair(twin, 1.25, 1.0) is pair
         assert not pair.upper.amplitudes.flags.writeable
         assert not pair.lower.amplitudes.flags.writeable
 
