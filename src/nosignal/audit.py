@@ -22,6 +22,7 @@ which is exactly why the scheme looks like a transmitter and is not one.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -36,7 +37,7 @@ from .measurement import (
     ProjectorSet,
     ZeroNormReductionError,
     _born,
-    count_outcomes,
+    _cdf_edges,
     mode_projector,
     pair_partition,
     reduce,
@@ -282,27 +283,37 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _receiver_frequency(config: ScenarioConfig, stream: int, probs, receiver: int) -> float:
-    """Receiver frequency over ``config.trials`` draws of one stream, ``_CHUNK`` at a time.
+def _count_between(config: ScenarioConfig, stream: int, lo, hi, draws, below) -> int:
+    """How many of one stream's ``config.trials`` draws fall in ``[lo, hi)``.
 
-    Trial ``i`` still takes draw ``i``, and counts add over chunks, so the
-    result is the one a single batch of every draw gives.
+    ``None`` is no bound.  The draws come ``_CHUNK`` at a time into the
+    lane's ``draws`` buffer, and ``below`` holds each comparison.  Trial
+    ``i`` still takes draw ``i``, and counts add over chunks, so the count
+    is the one a single batch of every draw gives.
     """
     count = 0
     for start in range(0, config.trials, _CHUNK):
-        draws = trial_uniforms(config.seed, min(_CHUNK, config.trials - start), stream, start)
-        count += count_outcomes(probs, draws)[receiver]
-    return count / config.trials
+        n = min(_CHUNK, config.trials - start)
+        chunk = trial_uniforms(config.seed, n, stream, start, out=draws)
+        count += n if hi is None else np.count_nonzero(np.less(chunk, hi, out=below[:n]))
+        if lo is not None:
+            count -= np.count_nonzero(np.less(chunk, lo, out=below[:n]))
+    return int(count)  # np.count_nonzero gives np.int64
 
 
-def _sample_row(config: ScenarioConfig, index: int, probs, receiver: int) -> tuple[float, bool]:
+def _sample_row(
+    config: ScenarioConfig, index: int, probs, receiver: int, draws, below
+) -> tuple[float, bool]:
     """Row ``index``'s empirical receiver frequency, and whether it is in band.
 
-    A frequency outside its band is redrawn once, from stream ``2 * index + 1``.
+    The probabilities are checked, and the receiver's CDF bounds taken,
+    once for the row.  A frequency outside its band is redrawn once, from
+    stream ``2 * index + 1``.
     """
+    lo, hi = _cdf_edges(probs)[receiver : receiver + 2]
     band = binomial_band(config.trials)
     for stream in (2 * index, 2 * index + 1):
-        empirical = _receiver_frequency(config, stream, probs, receiver)
+        empirical = _count_between(config, stream, lo, hi, draws, below) / config.trials
         if abs(empirical - 0.5) <= band:
             return empirical, True
     return empirical, False
@@ -311,32 +322,40 @@ def _sample_row(config: ScenarioConfig, index: int, probs, receiver: int) -> tup
 def _sample_rows(config: ScenarioConfig, outcomes) -> list[tuple[float, bool]]:
     """:func:`_sample_row` for every ``(probs, receiver)`` row, in row order.
 
-    The rows are dealt round-robin to lanes: one per usable CPU, but no more
-    than there are rows or ``_CHUNK``-draw chunks of work.  The calling
-    thread runs lane 0; the others run on threads joined before this
-    returns.  Each row's streams are its own, so the lanes share nothing
-    but the list they write each row's result into.  A lane stops at its
-    first failing row, and the failure of the lowest row is raised, as a
-    serial loop would raise it.
+    Lanes run one per usable CPU, but no more than there are rows or
+    ``_CHUNK``-draw chunks of work.  The calling thread runs one lane; the
+    others run on threads joined before this returns.  Each lane allocates
+    one draw buffer and one comparison buffer, and takes the next row from
+    one shared counter as it finishes the last, so no lane idles while
+    rows are left.  Each row's streams are its own, so the lanes share
+    nothing else but the list they write each row's result into.  Once
+    any row has failed no lane takes another, and the failure of the
+    lowest row is raised, as a serial loop would raise it: every lower row
+    was already taken, and runs to its end.
     """
     n = len(outcomes)
     lanes = min(_usable_cpus(), n, -(-n * config.trials // _CHUNK))
+    size = min(_CHUNK, config.trials)
+    rows = itertools.count()  # next() on it is one C call: atomic under the GIL
     sampled: list = [None] * n
     errors: dict[int, BaseException] = {}
 
-    def lane(k: int) -> None:
-        for i in range(k, n, lanes):
+    def lane() -> None:
+        draws, below = np.empty(size), np.empty(size, dtype=bool)
+        for i in rows:
+            if i >= n or errors:
+                return
             try:
-                sampled[i] = _sample_row(config, i, *outcomes[i])
+                sampled[i] = _sample_row(config, i, *outcomes[i], draws, below)
             except BaseException as exc:  # raised on the calling thread below
                 errors[i] = exc
                 return
 
-    workers = [threading.Thread(target=lane, args=(k,)) for k in range(1, lanes)]
+    workers = [threading.Thread(target=lane) for _ in range(1, lanes)]
     try:
         for worker in workers:
             worker.start()
-        lane(0)
+        lane()
     finally:
         for worker in workers:
             if worker.ident is not None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import threading
 from dataclasses import dataclass
@@ -280,21 +281,33 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
     return gen
 
 
-def trial_uniforms(seed: int, n: int, stream: int = 0, start: int = 0) -> np.ndarray:
+def trial_uniforms(
+    seed: int, n: int, stream: int = 0, start: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
     """Uniform draws for trials ``start..start+n-1`` of the given stream.
 
     Counter-based: draw ``i`` depends only on ``(seed, stream, i)``.  Philox
     makes four 64-bit words a block, so the generator jumps ``start // 4``
-    blocks and discards the first ``start % 4`` words of the next.
+    blocks and discards the first ``start % 4`` words of the next.  Given a
+    float64 array ``out`` of at least ``n`` entries, the draws fill
+    ``out[:n]`` in place and that view is returned; the bits are the same.
     """
     start = operator.index(start)
     if start < 0:
         raise ValueError(f"start must be non-negative, got {start}")
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    if out is not None and len(out) < n:
+        raise ValueError(f"out holds {len(out)} draws, fewer than n = {n}")
     gen = _philox(seed, stream)
     if start >= 4:  # a fresh key is already at block 0
         gen.bit_generator.advance(start // 4)
     skip = start % 4
-    return gen.random(skip + n)[skip:]
+    if out is None:
+        return gen.random(skip + n)[skip:]
+    if skip:
+        gen.random(skip)  # the words before draw ``start``
+    return gen.random(out=out[:n])
 
 
 def trial_uniform(seed: int, trial: int, stream: int = 0) -> float:
@@ -302,17 +315,16 @@ def trial_uniform(seed: int, trial: int, stream: int = 0) -> float:
     return float(trial_uniforms(seed, 1, stream, trial)[0])
 
 
-def count_outcomes(probs, draws) -> list[int]:
-    """Inverse-CDF sampling: how many of the uniform ``draws`` pick each outcome.
+def _cdf_edges(probs) -> list[float | None]:
+    """Inverse-CDF bounds: draw ``u`` picks outcome ``k`` when ``edges[k] <= u < edges[k + 1]``.
 
-    Draw ``u`` picks the first outcome whose cumulative probability exceeds
-    ``u``.  So the draws that pick one of outcomes ``0..k`` are exactly those
-    below ``cdf[k]``; outcome ``k`` gets ``below_k - below_{k-1}``, and the
-    last outcome takes every draw not below ``cdf[K-2]``, including those
-    that rounding leaves above the last CDF entry.  Non-negative
-    probabilities keep the CDF non-decreasing, so these are the comparisons
-    a ``side="right"`` binary search of the CDF makes per draw: the counts
-    equal its choices, clamped to the last outcome, for every valid vector.
+    ``edges`` is ``[None, cdf[0], ..., cdf[K-2], None]``, where ``None`` is
+    no bound.  So draw ``u`` picks the first outcome whose cumulative
+    probability exceeds ``u``, and the last outcome takes every draw not
+    below ``cdf[K-2]``, including those that rounding leaves above the
+    last CDF entry.  Non-negative probabilities keep the CDF
+    non-decreasing, so these are the choices a ``side="right"`` binary
+    search of the CDF makes per draw, clamped to the last outcome.
 
     Raises ``ValueError`` unless there is at least one probability and each
     is finite and non-negative: a NaN compares false with every draw and
@@ -321,10 +333,27 @@ def count_outcomes(probs, draws) -> list[int]:
     probs = np.asarray(probs, dtype=float)
     if not (probs.size and np.all(np.isfinite(probs) & (probs >= 0.0))):
         raise ValueError(f"outcome probabilities must be finite and >= 0, got {probs}")
-    draws = np.asarray(draws)
-    below = [int(np.count_nonzero(draws < c)) for c in np.cumsum(probs)[:-1]]
-    bounds = [0, *below, len(draws)]
-    return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    return [None, *np.cumsum(probs)[:-1].tolist(), None]
+
+
+def count_outcomes(probs, draws) -> list[int]:
+    """Inverse-CDF sampling: how many of the uniform ``draws`` pick each outcome.
+
+    The draws that pick one of outcomes ``0..k`` are exactly those below
+    ``cdf[k]`` (see :func:`_cdf_edges`), so each interior CDF entry is
+    compared with the draws once and outcome ``k`` gets
+    ``below_k - below_{k-1}``.
+
+    Raises ``ValueError`` for probabilities :func:`_cdf_edges` refuses, and
+    unless ``draws`` is 1-D with every draw in ``[0, 1)``: a NaN draw would
+    otherwise go to the last outcome.
+    """
+    edges = _cdf_edges(probs)
+    draws = np.asarray(draws, dtype=float)
+    if not (draws.ndim == 1 and np.all((draws >= 0.0) & (draws < 1.0))):
+        raise ValueError(f"draws must be a 1-D array of uniforms in [0, 1), got {draws}")
+    below = [0, *(int(np.count_nonzero(draws < c)) for c in edges[1:-1]), len(draws)]
+    return [hi - lo for lo, hi in zip(below, below[1:])]
 
 
 def measure(

@@ -68,7 +68,9 @@ def gaussian(grid: Grid, center: float, sigma: float) -> State:
     deviation ``sigma``.  Raises :class:`TruncationError` when more than
     ``TRUNCATION_TOL`` of that probability mass falls outside the grid, and
     ``ValueError`` when the packet is so much narrower than the grid spacing
-    that no sample of it is above 0.
+    that no sample of it is above 0, or when its exponent leaves the double
+    range at this ``sigma``: ``sigma**2`` or a squared offset on the grid
+    overflows, or ``sigma**2`` underflows to 0.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -81,7 +83,14 @@ def gaussian(grid: Grid, center: float, sigma: float) -> State:
             f"outside the grid [{grid.r_min}, {grid.r_max}]"
         )
     r = grid.points
-    raw = np.exp(-((r - center) ** 2) / (4 * sigma**2))
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            raw = np.exp(-((r - center) ** 2) / (4 * sigma**2))
+    except (OverflowError, FloatingPointError):
+        raise ValueError(
+            f"sigma={sigma} puts the packet's exponent (r - center)**2 / (4 sigma**2) "
+            f"outside the double range on the grid [{grid.r_min}, {grid.r_max}]"
+        ) from None
     scale = math.sqrt(grid.spacing * float(np.add.reduce(raw * raw)))
     if not (math.isfinite(scale) and scale > 0):
         # every sample underflowed: the packet falls between the grid's samples

@@ -2,17 +2,21 @@
 
 The reference is the audit as one loop on the calling thread: each row
 draws its whole stream in one batch, and a row outside its band redraws
-the whole of the next stream.  The lanes deal the rows to threads and
-fill each stream in chunks; the reports must be equal field for field.
+the whole of the next stream.  The lanes take rows on threads as they
+come free and fill each stream in chunks; the reports must be equal
+field for field.
 """
 
 import math
 import threading
+import time
 
+import numpy as np
 import pytest
 
-from nosignal import audit
+from nosignal import audit, measurement
 from nosignal.audit import (
+    _CHUNK,
     RECEIVER_LABEL,
     AuditReport,
     AuditRow,
@@ -82,12 +86,31 @@ def draw_threads(monkeypatch):
     """``(thread identity, row)`` of every ``trial_uniforms`` call."""
     idents = []
 
-    def recording(seed, n, stream=0, start=0):
+    def recording(seed, n, stream=0, start=0, out=None):
         idents.append((threading.get_ident(), stream // 2))
-        return trial_uniforms(seed, n, stream, start)
+        return trial_uniforms(seed, n, stream, start, out=out)
 
     monkeypatch.setattr(audit, "trial_uniforms", recording)
     return idents
+
+
+def _hold_first_draws(monkeypatch, lanes):
+    """Hold each thread's first draw until ``lanes`` threads have drawn.
+
+    Rows are dealt on demand, so a lane that starts late could find none
+    left; held like this, each lane takes a row before any lane takes two.
+    """
+    barrier = threading.Barrier(lanes)
+    seen = set()
+    draw = audit.trial_uniforms
+
+    def held(*args, **kwargs):
+        if threading.get_ident() not in seen:
+            seen.add(threading.get_ident())
+            barrier.wait(timeout=30)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(audit, "trial_uniforms", held)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -98,18 +121,59 @@ def test_lanes_match_the_serial_reference(monkeypatch, draw_threads, references,
     if expected_resampled is not None:
         assert resampled == expected_resampled
     monkeypatch.setattr(audit, "_usable_cpus", lambda: cpus)
+    _hold_first_draws(monkeypatch, cpus)
     before = threading.active_count()
     assert no_signalling_audit(config) == reference
     assert threading.active_count() == before
-    # every config here has more rows and chunks than lanes: row i is in
-    # lane i % cpus, lane 0 is the calling thread and every other lane
-    # draws on one worker thread
-    lane_threads = {}
+    # every config here has more rows and chunks than lanes: each row draws
+    # both its streams on one thread, `cpus` threads draw, and the calling
+    # thread is one of them
+    row_threads = {}
     for ident, row in draw_threads:
-        assert lane_threads.setdefault(row % cpus, ident) == ident
-    assert sorted(lane_threads) == list(range(cpus))
-    caller = threading.get_ident()
-    assert [lane for lane, ident in lane_threads.items() if ident == caller] == [0]
+        assert row_threads.setdefault(row, ident) == ident
+    assert sorted(row_threads) == list(range(len(config.phases)))
+    assert len(set(row_threads.values())) == cpus
+    assert threading.get_ident() in row_threads.values()
+
+
+def test_a_slow_row_holds_up_only_its_own_lane(monkeypatch, draw_threads, references):
+    # rows are dealt as lanes come free: while row 0's first draw sleeps,
+    # the other lane takes every other row
+    draw = audit.trial_uniforms
+
+    def row_0_sleeps(seed, n, stream=0, start=0, out=None):
+        if stream == 0 and start == 0:
+            time.sleep(0.2)
+        return draw(seed, n, stream, start, out=out)
+
+    monkeypatch.setattr(audit, "trial_uniforms", row_0_sleeps)
+    monkeypatch.setattr(audit, "_usable_cpus", lambda: 2)
+    name = "seed13-resamples-row-7"
+    before = threading.active_count()
+    assert no_signalling_audit(CONFIGS[name][0]) == references[name][0]
+    assert threading.active_count() == before
+    slow = {ident for ident, row in draw_threads if row == 0}
+    assert len(slow) == 1
+    assert {row for ident, row in draw_threads if ident in slow} == {0}
+
+
+@pytest.mark.parametrize("trials", [1, _CHUNK, _CHUNK + 1, 100003])
+@pytest.mark.parametrize(
+    "probs",
+    # 0.7 + 0.2 + 0.1 sums to 1 - 2**-53 in doubles
+    [[0.25, 0.0, 0.75], [0.7, 0.2, 0.1]],
+    ids=["zero-outcome", "cdf-below-1"],
+)
+def test_lane_counting_equals_count_outcomes(probs, trials):
+    config = _mz((0.0,), trials, 21)
+    size = min(_CHUNK, trials)
+    draws, below = np.empty(size), np.empty(size, dtype=bool)
+    edges = measurement._cdf_edges(probs)
+    for stream in (0, 5):
+        expected = count_outcomes(probs, trial_uniforms(21, trials, stream))
+        for k in (0, 1, 2):  # first, middle, last
+            count = audit._count_between(config, stream, *edges[k : k + 2], draws, below)
+            assert type(count) is int and count == expected[k]
 
 
 @pytest.mark.parametrize("nan_rows", [{1}, {1, 2}, {2, 5}])

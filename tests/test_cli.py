@@ -442,6 +442,23 @@ def test_bad_value_ends_in_an_error_line(tmp_path, argv, config, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sigma", ["1e300", "1e155", "1e154", "2e153", "1e-300"])
+@pytest.mark.parametrize(
+    "argv",
+    [("audit", "--variant", "shiekh-density", "--phi-sweep", "2", "--trials", "1"),
+     ("density",), ("calibrate",)],
+    ids=["audit", "density", "calibrate"],
+)
+def test_a_sigma_outside_the_double_range_ends_in_one_error_line(tmp_path, argv, sigma):
+    # the packet's exponent (r - center)**2 / (4 sigma**2) overflows, or
+    # sigma**2 underflows to 0; 2e153 only overflowed a squared offset
+    result = run_cli(*argv, "--sigma", sigma, "--out", str(tmp_path / "out"))
+    assert result.returncode == 1
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error:") and f"sigma={float(sigma)}" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
 class TestCalibrateCommand:
     def test_defaults_report_frozen_geometry_but_miss_target(self, tmp_path):
         # the scan optimum for Gaussian packets sits at contrast ~0.73,

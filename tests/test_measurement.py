@@ -546,6 +546,27 @@ class TestSampling:
         with pytest.raises((ValueError, TypeError)):
             trial_uniforms(1, 4, 0, start)
 
+    @pytest.mark.parametrize("n", [-1, 2.5, "3", None])
+    def test_a_count_must_be_a_non_negative_integer(self, n):
+        with pytest.raises(ValueError, match="n must be a non-negative integer"):
+            trial_uniforms(1, n)
+
+    @pytest.mark.parametrize("start", [0, 1, 3, 4, 5, 65537])
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (12345, 7), (2**63 - 1, 2**63 - 1)])
+    def test_draws_into_out_equal_a_new_array(self, seed, stream, start):
+        n = 9
+        expected = trial_uniforms(seed, n, stream, start)
+        out = np.full(n + 3, 2.0)
+        trial_uniforms(seed ^ 1, 3, stream ^ 1, 5)  # leave this thread's generator mid-block
+        drawn = trial_uniforms(seed, n, stream, start, out=out)
+        assert drawn.tobytes() == expected.tobytes()
+        assert np.shares_memory(drawn, out) and drawn.base is out
+        assert out[n:].tolist() == [2.0] * 3
+
+    def test_out_shorter_than_n_is_refused(self):
+        with pytest.raises(ValueError, match="fewer than n"):
+            trial_uniforms(1, 5, out=np.empty(4))
+
     def test_measure_is_deterministic(self, states, calibration, grid):
         pset = pair_partition(calibration.window, grid)
         psi = states["constructive"]
@@ -641,6 +662,8 @@ class TestCountOutcomes:
             draws = np.concatenate(
                 [edges, [0.0, np.nextafter(1.0, 0.0)], rng.random(int(rng.integers(0, 20)))]
             )
+            # a uniform lies in [0, 1); the edges next to 0 and 1 outside it are refused
+            draws = draws[(draws >= 0.0) & (draws < 1.0)]
             expected = _searchsorted_counts(probs, draws)
             for args in ((probs, draws), (probs.tolist(), draws.tolist())):
                 counts = count_outcomes(*args)
@@ -660,3 +683,12 @@ class TestCountOutcomes:
     def test_invalid_probabilities_rejected(self, probs):
         with pytest.raises(ValueError, match="finite and >= 0"):
             count_outcomes(probs, np.array([0.1, 0.9]))
+
+    @pytest.mark.parametrize(
+        "draws",
+        [[[0.1, 0.9]], [0.1, math.nan], [1.0], [0.5, -0.25], [math.inf], 0.5],
+        ids=["2-d", "nan", "one", "negative", "infinite", "scalar"],
+    )
+    def test_draws_that_are_not_uniforms_are_refused(self, draws):
+        with pytest.raises(ValueError, match=r"1-D array of uniforms in \[0, 1\)"):
+            count_outcomes([0.5, 0.5], draws)
