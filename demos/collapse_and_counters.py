@@ -23,7 +23,6 @@ from nosignal import (
     three_counter_partition,
     window_projector,
 )
-from nosignal.measurement import sampling_record
 
 grid = default_grid()
 cal = default_calibration()
@@ -65,7 +64,7 @@ print("  replayed:", " ".join(shots_again))
 # --- batched sampling agrees with per-shot sampling -----------------------
 counts = sample_outcomes(recombine(pair, math.pi), trio, seed=42, n_trials=100_000)
 print("\n100k trials, seed 42:",
-      sampling_record(math.pi, counts, 100_000, 42))
+      {"phi": math.pi, "counts": counts, "trials": 100_000, "seed": 42})
 probs = trio.probabilities(recombine(pair, math.pi))
 for label, expected in zip(trio.labels, probs):
     freq = counts[label] / 100_000

@@ -23,7 +23,6 @@ from nosignal import (
     is_isometry,
     load_bundled_circuit,
     make_state,
-    norm,
     splitter_circuit,
     validate_circuit,
 )
@@ -59,12 +58,12 @@ except NonPhysicalCircuitError as exc:
 
 # --- opted in: a normalized state vanishes --------------------------------
 vanished = apply(canceller_circuit(math.pi), photon, allow_nonphysical=True)
-print(f"\nopted-in canceller on the full device: output norm = {norm(vanished):.2e}")
+print(f"\nopted-in canceller on the full device: output norm = {vanished.norm:.2e}")
 
 merge_only = Circuit(
     (hypothetical_canceller(("u", "l"), "merged", 0.0),), input_modes=("u", "l")
 )
 out = apply(merge_only, interferometer_output(math.pi), allow_nonphysical=True)
-print(f"canceller alone on the phi=pi superposition: output norm = {norm(out):.2e}")
+print(f"canceller alone on the phi=pi superposition: output norm = {out.norm:.2e}")
 print("a unit of probability just disappeared, which is the reductio: "
       "the device cannot exist")

@@ -21,7 +21,6 @@ from nosignal import (
     default_grid,
     gaussian,
     inner,
-    norm,
     orthogonal_pair,
     probability,
     recombine,
@@ -43,7 +42,7 @@ print(f"\nraw packet overlap s = {s:.6f} "
 for phi in (0.0, math.pi):
     raw = combine(g_up, g_lo, 1 / math.sqrt(2), np.exp(1j * phi) / math.sqrt(2))
     print(f"  naive recombination at phi={phi:.2f}: norm = "
-          f"{norm(raw):.6f} (sqrt(1 + s cos phi) = "
+          f"{raw.norm:.6f} (sqrt(1 + s cos phi) = "
           f"{math.sqrt(1 + s * math.cos(phi)):.6f})")
 
 # --- the orthogonalized pair recombines unitarily ------------------------
@@ -52,14 +51,14 @@ print(f"\northogonalized: <chi_u|chi_l> = "
       f"{abs(inner(pair.upper, pair.lower)):.2e}")
 for phi in (0.0, math.pi / 2, math.pi):
     print(f"  recombined norm at phi={phi:.4f}: "
-          f"{norm(recombine(pair, phi)):.12f}")
+          f"{recombine(pair, phi).norm:.12f}")
 
 # --- the two canonical density profiles ----------------------------------
 psi0 = recombine(pair, 0.0)
 psi_pi = recombine(pair, math.pi)
 center = grid.n_points // 2
-print(f"\ndensity at r=0:  constructive {psi0.density()[center]:.4f}, "
-      f"destructive {psi_pi.density()[center]:.2e} (exact node)")
+print(f"\ndensity at r=0:  constructive {psi0.density[center]:.4f}, "
+      f"destructive {psi_pi.density[center]:.2e} (exact node)")
 
 counter = window_projector("in", grid, cal.window)
 p0 = probability(psi0, counter)
@@ -83,7 +82,7 @@ cols = 61
 r = grid.points
 sel = np.abs(r) <= 4.0
 for name, psi in (("phi=0 ", psi0), ("phi=pi", psi_pi)):
-    dens = psi.density()[sel]
+    dens = psi.density[sel]
     bins = np.array_split(dens, cols)
     levels = np.array([chunk.max() for chunk in bins])
     peak = levels.max()

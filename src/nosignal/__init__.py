@@ -27,7 +27,6 @@ from .modes import (
     combine,
     inner,
     make_state,
-    norm,
 )
 from .optics import (
     Circuit,
@@ -43,7 +42,6 @@ from .optics import (
     canceller_circuit,
     circuit_from_json,
     circuit_matrix,
-    circuit_to_json,
     custom_element,
     deflector,
     hypothetical_canceller,

@@ -229,14 +229,14 @@ def cmd_density(args) -> int:
         psi0 = wavepacket.recombine(pair, 0.0)
         psi_pi = wavepacket.recombine(pair, math.pi)
         columns = [
-            ("density_phi0", psi0.density()),
-            ("density_phipi", psi_pi.density()),
+            ("density_phi0", psi0.density),
+            ("density_phipi", psi_pi.density),
         ]
         states = {0.0: psi0, math.pi: psi_pi}
     else:
         phi = _parse_phi(str(phi_arg))
         psi = wavepacket.recombine(pair, phi)
-        columns = [("density", psi.density())]
+        columns = [("density", psi.density)]
         states = {phi: psi}
     _write_output(args.out, _density_text(grid, columns, fmt))
     if args.verify:

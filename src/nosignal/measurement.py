@@ -100,29 +100,20 @@ def mode_projector(label: str, basis: Sequence[str], *modes: str) -> Projector:
 
 
 def _born(state: State, projectors) -> list[float]:
-    """Born probability of each projector on ``state``; one density, one norm gate.
+    """Born probability of each projector on ``state``, after one norm gate.
 
-    Each projector's probability is summed on first use and kept with the
-    state, keyed by the projector's ranges (the basis is checked equal), like
-    the density and the norm.  The basis check and the norm gate still run
-    on every call.
+    Each probability is the state's :meth:`~nosignal.modes.State.range_sum`
+    over the projector's ranges, summed once per state and kept with it, like
+    the density and the norm.  The basis check and the norm gate still run on
+    every call.
     """
     for projector in projectors:
         if projector.basis != state.basis:
             raise ValueError(f"projector {projector.label!r} is not on the state's basis")
-    norm = state.norm()
+    norm = state.norm
     if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"state is not normalized (norm {norm:.9f})")
-    born = vars(state).setdefault("_born", {})
-    missing = [projector.ranges for projector in projectors if projector.ranges not in born]
-    if missing:
-        weight = state.weight
-        density = state.density()
-        # the ufunc np.sum calls, without its Python wrapper: the same pairwise sum
-        total = np.add.reduce
-        for ranges in missing:
-            born[ranges] = float(sum(weight * total(density[lo:hi]) for lo, hi in ranges))
-    return [born[projector.ranges] for projector in projectors]
+    return [state.range_sum(projector.ranges) for projector in projectors]
 
 
 def probability(state: State, projector: Projector) -> float:
@@ -310,11 +301,6 @@ def trial_uniforms(
     return gen.random(out=out[:n])
 
 
-def trial_uniform(seed: int, trial: int, stream: int = 0) -> float:
-    """The single uniform draw for one trial, without generating the batch."""
-    return float(trial_uniforms(seed, 1, stream, trial)[0])
-
-
 def _cdf_edges(probs) -> list[float | None]:
     """Inverse-CDF bounds: draw ``u`` picks outcome ``k`` when ``edges[k] <= u < edges[k + 1]``.
 
@@ -365,7 +351,7 @@ def measure(
     ``(state, projector_set, seed, trial)``.
     """
     probs = projector_set.probabilities(state)
-    counts = count_outcomes(probs, [trial_uniform(seed, trial)])
+    counts = count_outcomes(probs, trial_uniforms(seed, 1, 0, trial))
     chosen = projector_set.projectors[counts.index(1)]
     return chosen.label, reduce(state, chosen)
 
@@ -382,9 +368,3 @@ def sample_outcomes(
     counts = count_outcomes(probs, trial_uniforms(seed, n_trials, stream))
     return dict(zip(projector_set.labels, counts))
 
-
-def sampling_record(
-    phi: float, counts: dict[str, int], trials: int, seed: int
-) -> dict:
-    """Monte Carlo result in the standard export shape."""
-    return {"phi": phi, "counts": dict(counts), "trials": trials, "seed": seed}

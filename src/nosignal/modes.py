@@ -109,7 +109,9 @@ class State:
     On a grid the amplitudes are samples of the wavefunction (units
     ``length^(-1/2)``), and sums over cells are midpoint quadratures.
     Two states are equal when they share a basis and their amplitudes are
-    the same bits; equal states hash alike.
+    the same bits; equal states hash alike.  The density, the norm and the
+    range sums are cached properties: computed on first read and kept in
+    the instance, where equality, hashing and ``repr`` do not look.
     """
 
     basis: tuple[str, ...] | Grid
@@ -161,33 +163,50 @@ class State:
         except ValueError:
             return 0j
 
+    @functools.cached_property
     def density(self) -> np.ndarray:
         """``|a_i|^2`` per index: detection probability per mode, density per cell.
 
         Modes are squared one by one in Python and cells in one numpy call;
         the two round differently in the last bit, and reports keep each.
-        Computed on the first call and kept, read-only, with the state.
+        Computed on first read and kept, read-only, with the state.
         """
-        density = self.__dict__.get("_density")
-        if density is None:
-            if isinstance(self.basis, Grid):
-                density = np.abs(self.amplitudes) ** 2
-            else:
-                density = np.array([abs(a) ** 2 for a in self.amplitudes])
-            density.setflags(write=False)
-            object.__setattr__(self, "_density", density)
+        if isinstance(self.basis, Grid):
+            density = np.abs(self.amplitudes) ** 2
+        else:
+            density = np.array([abs(a) ** 2 for a in self.amplitudes])
+        density.setflags(write=False)
         return density
 
+    @functools.cached_property
     def norm(self) -> float:
-        """Weighted Euclidean norm ``sqrt(w * sum |a_i|^2)`` over :meth:`density`.
+        """Weighted Euclidean norm ``sqrt(w * sum |a_i|^2)``, kept with the state.
 
-        Computed on the first call and kept with the state, like the density.
+        The root of :meth:`range_sum` over the whole basis, so a projector
+        onto every index reads the same kept sum.
         """
-        norm = self.__dict__.get("_norm")
-        if norm is None:
-            norm = math.sqrt(self.weight * float(np.add.reduce(self.density())))
-            object.__setattr__(self, "_norm", norm)
-        return norm
+        return math.sqrt(self.range_sum(((0, len(self.amplitudes)),)))
+
+    @functools.cached_property
+    def _range_sums(self) -> dict[tuple[tuple[int, int], ...], float]:
+        """The sums :meth:`range_sum` has made, keyed by their ranges."""
+        return {}
+
+    def range_sum(self, ranges: tuple[tuple[int, int], ...]) -> float:
+        """``w * sum density[lo:hi]`` over the ``[lo, hi)`` index ranges, in range order.
+
+        Each range is summed by ``np.add.reduce``, the ufunc behind ``np.sum``,
+        so the bits are ``np.sum``'s.  Summed on first use for each ``ranges``
+        and kept with the state; ``ranges`` must lie in ``[0, len(amplitudes)]``.
+        """
+        sums = self._range_sums
+        total = sums.get(ranges)
+        if total is None:
+            weight, density = self.weight, self.density
+            total = sums[ranges] = float(
+                sum(weight * np.add.reduce(density[lo:hi]) for lo, hi in ranges)
+            )
+        return total
 
 
 def make_state(entries: Iterable[tuple[str, complex]]) -> State:
@@ -201,11 +220,6 @@ def make_state(entries: Iterable[tuple[str, complex]]) -> State:
 def _same_basis(a: State, b: State) -> None:
     if a.basis != b.basis:
         raise ValueError("states live on different bases")
-
-
-def norm(state: State) -> float:
-    """Weighted Euclidean norm ``sqrt(w * sum |a_i|^2)``, kept with the state."""
-    return state.norm()
 
 
 def inner(a: State, b: State) -> complex:

@@ -419,26 +419,12 @@ def canceller_circuit(phi: float = PHASE_ON) -> Circuit:
 # Circuit description files
 # ---------------------------------------------------------------------------
 
-def element_to_json_dict(element: Element) -> dict:
-    return {
-        "kind": element.kind,
-        "params": copy.deepcopy(element.params),
-        "in": list(element.inputs),
-        "out": list(element.outputs),
-    }
-
-
 def element_from_json_dict(data: dict) -> Element:
     ok = isinstance(data, dict) and all(isinstance(data.get(k), list) for k in ("in", "out"))
     if not ok:
         raise ValueError(f"element must be an object with 'in' and 'out' lists, got {data!r}")
     params = data.get("params", {})
     return Element(data.get("kind"), tuple(data["in"]), tuple(data["out"]), params)
-
-
-def circuit_to_json(circuit: Circuit) -> str:
-    """Serialize as a JSON list of element descriptions."""
-    return json.dumps([element_to_json_dict(e) for e in circuit.elements], indent=2)
 
 
 def circuit_from_json(text: str) -> Circuit:

@@ -29,12 +29,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .modes import Grid, State, combine, inner, norm
+from .modes import Grid, State, combine, inner
 from .tolerances import TRUNCATION_TOL
 
 #: Raw-Gaussian overlaps above this make the orthogonalization ill-conditioned.
@@ -70,7 +71,8 @@ def gaussian(grid: Grid, center: float, sigma: float) -> State:
     ``ValueError`` when the packet is so much narrower than the grid spacing
     that no sample of it is above 0, or when its exponent leaves the double
     range at this ``sigma``: ``sigma**2`` or a squared offset on the grid
-    overflows, or ``sigma**2`` underflows to 0.
+    overflows, or ``sigma**2`` is below the smallest normal double, where it
+    has lost bits and the packet would be silently imprecise.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -85,6 +87,8 @@ def gaussian(grid: Grid, center: float, sigma: float) -> State:
     r = grid.points
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if sigma**2 < sys.float_info.min:  # subnormal: its low bits are already gone
+                raise FloatingPointError
             raw = np.exp(-((r - center) ** 2) / (4 * sigma**2))
     except (OverflowError, FloatingPointError):
         raise ValueError(
@@ -146,8 +150,8 @@ def _orthogonal_pair(grid: Grid, separation: float, width: float) -> PacketPair:
         )
     even = combine(g_up, g_lo, 1.0, 1.0)
     odd = combine(g_up, g_lo, 1.0, -1.0)
-    even = State._adopt(grid, even.amplitudes / norm(even))
-    odd = State._adopt(grid, odd.amplitudes / norm(odd))
+    even = State._adopt(grid, even.amplitudes / even.norm)
+    odd = State._adopt(grid, odd.amplitudes / odd.norm)
     inv_sqrt2 = 1 / math.sqrt(2)
     upper = combine(even, odd, inv_sqrt2, inv_sqrt2)
     lower = combine(even, odd, inv_sqrt2, -inv_sqrt2)
@@ -275,8 +279,8 @@ def calibrate(grid: Grid, sigma: float) -> CalibrationResult:
             # grid too small for any pair the scan must end in CalibrationError
             windows = [symmetric_window(grid, float(w * sigma)) for w in CALIBRATION_HALFWIDTHS]
             i_lo, i_hi = np.array([window_cells(grid, w) for w in windows]).T
-        cum0 = np.concatenate(([0.0], np.cumsum(recombine(pair, 0.0).density()))) * h
-        cum_pi = np.concatenate(([0.0], np.cumsum(recombine(pair, math.pi).density()))) * h
+        cum0 = np.concatenate(([0.0], np.cumsum(recombine(pair, 0.0).density))) * h
+        cum_pi = np.concatenate(([0.0], np.cumsum(recombine(pair, math.pi).density))) * h
         p0 = cum0[i_hi] - cum0[i_lo]
         p_pi = cum_pi[i_hi] - cum_pi[i_lo]
         contrast = np.minimum(p0, 1.0 - p_pi)

@@ -43,7 +43,7 @@ from nosignal.measurement import (
     three_counter_partition,
     window_projector,
 )
-from nosignal.modes import Grid, combine, inner, norm
+from nosignal.modes import Grid, combine, inner
 from nosignal.optics import (
     beam_splitter,
     deflector,
@@ -176,7 +176,7 @@ def test_criterion_4_unitarity():
         (hypothetical_canceller(("u", "l"), "merged", 0.0),), input_modes=("u", "l")
     )
     vanished = ns.apply(merge, interferometer_output(math.pi), allow_nonphysical=True)
-    vanish_norm = ns.norm(vanished)
+    vanish_norm = vanished.norm
 
     ok = elements_ok and bundled_ok and canceller_ok and vanish_norm <= 1e-12
     report(4, ok, f"physical elements pass at 1e-12; canceller deviation 1/2 at 64 "
@@ -190,7 +190,7 @@ def test_criterion_5_wavepacket_norm_preservation():
     cal = default_calibration()
     pair = orthogonal_pair(grid, cal.separation, 1.0)
     worst_norm = max(
-        abs(norm(recombine(pair, phi)) - 1.0) for phi in SWEEP_64
+        abs(recombine(pair, phi).norm - 1.0) for phi in SWEEP_64
     )
 
     completeness = 0.0
@@ -209,7 +209,7 @@ def test_criterion_5_wavepacket_norm_preservation():
     for phi in SWEEP_64:
         raw = combine(g_up, g_lo, 1 / math.sqrt(2), np.exp(1j * phi) / math.sqrt(2))
         raw_dev = max(
-            raw_dev, abs(norm(raw) - math.sqrt(1 + s * math.cos(phi)))
+            raw_dev, abs(raw.norm - math.sqrt(1 + s * math.cos(phi)))
         )
 
     ok = worst_norm <= 1e-8 and completeness <= 1e-8 and raw_dev <= 1e-6

@@ -37,7 +37,7 @@ from nosignal.measurement import (
     trial_uniforms,
     window_projector,
 )
-from nosignal.modes import State, make_state, norm
+from nosignal.modes import State, make_state
 from nosignal.optics import Circuit, apply, custom_element
 from nosignal.wavepacket import DetectorWindow, default_calibration, default_grid
 
@@ -111,7 +111,7 @@ class TestEvolveSender:
 
     def test_total_norm_preserved(self, density_config):
         evolved = evolve_sender(build_initial(density_config), 1.1, density_config)
-        sender = abs(evolved.sender_amplitude) ** 2 * norm(evolved.sender_state) ** 2
+        sender = abs(evolved.sender_amplitude) ** 2 * evolved.sender_state.norm ** 2
         total = abs(evolved.receiver_amplitude) ** 2 + sender
         assert total == pytest.approx(1.0, abs=1e-8)
 

@@ -442,21 +442,36 @@ def test_bad_value_ends_in_an_error_line(tmp_path, argv, config, message):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("sigma", ["1e300", "1e155", "1e154", "2e153", "1e-300"])
-@pytest.mark.parametrize(
+SIGMA_COMMANDS = pytest.mark.parametrize(
     "argv",
     [("audit", "--variant", "shiekh-density", "--phi-sweep", "2", "--trials", "1"),
      ("density",), ("calibrate",)],
     ids=["audit", "density", "calibrate"],
 )
+
+
+@pytest.mark.parametrize(
+    "sigma", ["1e300", "1e155", "1e154", "2e153", "1e-155", "1e-160", "1e-300"]
+)
+@SIGMA_COMMANDS
 def test_a_sigma_outside_the_double_range_ends_in_one_error_line(tmp_path, argv, sigma):
     # the packet's exponent (r - center)**2 / (4 sigma**2) overflows, or
-    # sigma**2 underflows to 0; 2e153 only overflowed a squared offset
+    # sigma**2 is subnormal (1e-155, 1e-160) or underflows to 0 (1e-300);
+    # 2e153 only overflowed a squared offset
     result = run_cli(*argv, "--sigma", sigma, "--out", str(tmp_path / "out"))
     assert result.returncode == 1
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("error:") and f"sigma={float(sigma)}" in result.stderr
     assert not (tmp_path / "out").exists()
+
+
+@SIGMA_COMMANDS
+def test_a_sigma_whose_square_is_just_normal_still_runs(tmp_path, argv):
+    # 2e-154 squared is 4e-308, just above the smallest normal double 2.2e-308
+    result = run_cli(*argv, "--sigma", "2e-154", "--out", str(tmp_path / "out"))
+    assert result.returncode == (2 if argv == ("calibrate",) else 0)  # calibrate misses its target
+    assert result.stderr == ""
+    assert (tmp_path / "out").exists()
 
 
 class TestCalibrateCommand:

@@ -20,9 +20,7 @@ from nosignal.measurement import (
     probability,
     reduce,
     sample_outcomes,
-    sampling_record,
     three_counter_partition,
-    trial_uniform,
     trial_uniforms,
     window_projector,
 )
@@ -151,7 +149,7 @@ class TestProbability:
 
 def _unit_state(basis, amplitudes) -> State:
     state = State(basis, amplitudes)
-    return State(basis, amplitudes / state.norm())
+    return State(basis, amplitudes / state.norm)
 
 
 class TestBornSums:
@@ -476,12 +474,14 @@ class TestProjectorSets:
             )
 
 
-class TestSampling:
-    def test_uniforms_are_counter_addressable(self):
-        batch = trial_uniforms(99, 40)
-        singles = [trial_uniform(99, i) for i in range(40)]
-        assert list(batch) == singles
+def _one_draw_at_each_of_the_first_40_trials(test):
+    """Add the examples ``n = 1``, ``start = i`` for ``i < 40``: a draw a trial, as ``measure``."""
+    for i in range(40):
+        test = example(seed=99, stream=0, start=i, n=1)(test)
+    return test
 
+
+class TestSampling:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**63 - 1),
@@ -490,7 +490,8 @@ class TestSampling:
     )
     def test_random_access_matches_the_batch(self, seed, stream, trial):
         # the jump to draw i is Philox block arithmetic: four 64-bit words a block
-        assert trial_uniform(seed, trial, stream) == trial_uniforms(seed, trial + 1, stream)[trial]
+        single = trial_uniforms(seed, 1, stream, trial)  # the one draw measure reads
+        assert single.tolist() == [trial_uniforms(seed, trial + 1, stream)[trial]]
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
@@ -503,6 +504,7 @@ class TestSampling:
     @example(seed=4, stream=6, start=1, n=9)
     @example(seed=4, stream=6, start=3, n=1)
     @example(seed=4, stream=6, start=65537, n=9)
+    @_one_draw_at_each_of_the_first_40_trials
     def test_a_slice_from_any_start_matches_the_batch(self, seed, stream, start, n):
         part = trial_uniforms(seed, n, stream, start)
         assert part.tolist() == trial_uniforms(seed, start + n, stream)[start:].tolist()
@@ -623,15 +625,6 @@ class TestSampling:
         band = 3 * math.sqrt(0.25 / n)
         assert counts["in"] / n == pytest.approx(0.5, abs=band)
         assert counts["recv"] / n == pytest.approx(0.5, abs=band)
-
-    def test_sampling_record_schema(self):
-        record = sampling_record(math.pi, {"in": 10, "out": 20}, 30, 7)
-        assert record == {
-            "phi": math.pi,
-            "counts": {"in": 10, "out": 20},
-            "trials": 30,
-            "seed": 7,
-        }
 
 
 def _searchsorted_counts(probs, draws) -> list[int]:

@@ -10,9 +10,9 @@ from nosignal.modes import (
     combine,
     inner,
     make_state,
-    norm,
 )
-from nosignal.measurement import Projector, mode_projector, probability
+from nosignal.measurement import Projector, probability, reduce
+from nosignal.wavepacket import gaussian, orthogonal_pair, recombine
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -20,16 +20,16 @@ INV_SQRT2 = 1 / math.sqrt(2)
 class TestMakeState:
     def test_equal_weight_pair_is_normalized(self):
         state = make_state([("fwd", INV_SQRT2), ("rev", INV_SQRT2)])
-        np.testing.assert_allclose(norm(state), 1.0, atol=1e-12)
+        np.testing.assert_allclose(state.norm, 1.0, atol=1e-12)
 
     def test_single_unit_mode(self):
         state = make_state([("u", 1.0)])
-        assert norm(state) == 1.0
+        assert state.norm == 1.0
         assert state.amplitude("u") == 1.0
 
     def test_unnormalized_pair_flagged(self):
         state = make_state([("u", 1.0), ("l", 1.0)])
-        np.testing.assert_allclose(norm(state), math.sqrt(2), atol=1e-12)
+        np.testing.assert_allclose(state.norm, math.sqrt(2), atol=1e-12)
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(DuplicateModeError):
@@ -53,11 +53,11 @@ class TestMakeState:
 
 class TestNorm:
     def test_empty_state(self):
-        assert norm(make_state([])) == 0.0
+        assert make_state([]).norm == 0.0
 
     def test_three_four_five(self):
         state = make_state([("u", 0.6j), ("l", 0.8)])
-        np.testing.assert_allclose(norm(state), 1.0, atol=1e-12)
+        np.testing.assert_allclose(state.norm, 1.0, atol=1e-12)
 
 
 class TestGridBasis:
@@ -72,7 +72,7 @@ class TestGridBasis:
         v = np.linspace(-1.0, 1.0, 64) + 0.5j
         state = State(self.GRID, v)
         h = self.GRID.spacing
-        assert norm(state) == math.sqrt(h * float(np.sum(np.abs(v) ** 2)))
+        assert state.norm == math.sqrt(h * float(np.sum(np.abs(v) ** 2)))
         assert inner(state, state) == complex(h * np.sum(np.conj(v) * v))
 
     def test_amplitude_count_must_match_the_grid(self):
@@ -106,98 +106,122 @@ class TestGridBasis:
         rng = np.random.default_rng(7)
         v = rng.normal(size=64) + 1j * rng.normal(size=64)
         labels = [f"m{i}" for i in range(64)]
-        modes = make_state(list(zip(labels, v))).density()
-        cells = State(self.GRID, v).density()
+        modes = make_state(list(zip(labels, v))).density
+        cells = State(self.GRID, v).density
         assert modes.tolist() == [abs(a) ** 2 for a in v.tolist()]
         assert cells.tolist() == (np.abs(v) ** 2).tolist()
         assert modes.tolist() != cells.tolist()  # so the formulas can be told apart
 
 
+CACHE_GRID = Grid(-4.0, 4.0, 64)
+PACKET_GRID = Grid(-8.0, 8.0, 257)
+
+
+def _made_every_way(v) -> list[tuple[str, State]]:
+    """Unit states made each way a state is made, as ``(how, state)`` pairs.
+
+    ``State(...)`` and ``make_state`` build ``v``, normalized, on the cells of
+    ``CACHE_GRID`` and on 64 mode labels.  ``combine`` and ``reduce`` act on
+    those two and hand the array they make to ``State._adopt``, as
+    ``gaussian`` and ``recombine`` do with packets of their own.
+    """
+    cells = State(CACHE_GRID, v / math.sqrt(CACHE_GRID.spacing * np.sum(np.abs(v) ** 2)))
+    modes = make_state(zip([f"m{i}" for i in range(len(v))], v / math.sqrt(np.sum(np.abs(v) ** 2))))
+    made = [("State", cells), ("make_state", modes)]
+    for basis, state in (("cells", cells), ("modes", modes)):
+        made.append((f"combine-{basis}", combine(state, state, 0.6, 0.8j)))
+        made.append((f"reduce-{basis}", reduce(state, Projector("p", state.basis, ((10, 30),)))))
+    made.append(("gaussian", gaussian(PACKET_GRID, 0.5, 1.0)))
+    made.append(("recombine", recombine(orthogonal_pair(PACKET_GRID, 2.0, 1.0), 0.7)))
+    return made
+
+
+def _fresh_density(state: State) -> list[float]:
+    """Each basis's own formula: one numpy call on cells, Python squares on modes."""
+    a = state.amplitudes
+    if isinstance(state.basis, Grid):
+        return (np.abs(a) ** 2).tolist()
+    return [abs(x) ** 2 for x in a.tolist()]
+
+
+def _assert_value_unseen(how: str, state: State, read) -> None:
+    """``read(state)`` leaves ``==``, ``hash`` and ``repr`` as a fresh twin has them."""
+    twin = State(state.basis, state.amplitudes)
+    before = (repr(state), hash(state))
+    read(state)
+    assert state == twin and twin == state, how
+    assert (repr(state), hash(state)) == before == (repr(twin), hash(twin)), how
+
+
 class TestDensityCache:
-    GRID = Grid(-4.0, 4.0, 64)
     V = np.random.default_rng(11).normal(size=64) + 1j * np.random.default_rng(12).normal(size=64)
 
-    def _states(self):
-        labels = [f"m{i}" for i in range(64)]
-        return State(self.GRID, self.V), make_state(list(zip(labels, self.V)))
-
     def test_computed_once_and_read_only(self):
-        for state in self._states():
-            density = state.density()
-            assert state.density() is density
-            assert not density.flags.writeable
+        for how, state in _made_every_way(self.V):
+            density = state.density
+            assert state.density is density, how
+            assert not density.flags.writeable, how
             with pytest.raises(ValueError):
                 density[0] = 0.0
 
     def test_same_bits_as_a_fresh_square(self):
-        cells, modes = self._states()
-        for _ in range(2):  # the computing call and the cached one
-            assert cells.density().tolist() == (np.abs(self.V) ** 2).tolist()
-            assert modes.density().tolist() == [abs(a) ** 2 for a in self.V.tolist()]
+        for how, state in _made_every_way(self.V):
+            twin = State(state.basis, state.amplitudes)
+            for _ in range(2):  # the computing read and the kept one
+                assert state.density.tolist() == _fresh_density(state) == twin.density.tolist(), how
 
     def test_equality_and_repr_ignore_the_cache(self):
-        # one amplitude, so that two distinct states compare to a plain bool
-        a, b = make_state([("u", 1j)]), make_state([("u", 1j)])
-        before = repr(a)
-        a.density()
-        assert a == b and b == a
-        assert repr(a) == before == repr(b)
+        for how, state in _made_every_way(self.V):
+            _assert_value_unseen(how, state, lambda s: s.density)
 
 
 class TestNormCache:
-    GRID = Grid(-4.0, 4.0, 64)
     # seeds where the two density formulas give norms one bit apart
     V = np.random.default_rng(24).normal(size=64) + 1j * np.random.default_rng(25).normal(size=64)
 
     def _states(self):
         labels = [f"m{i}" for i in range(64)]
-        return State(self.GRID, self.V), make_state(list(zip(labels, self.V)))
+        return State(CACHE_GRID, self.V), make_state(list(zip(labels, self.V)))
 
     def test_computed_once_and_kept(self):
-        for state in self._states():
-            value = state.norm()
-            assert state.norm() is value
-            assert norm(state) is value
+        for how, state in _made_every_way(self.V):
+            value = state.norm
+            assert state.norm is value, how
+            assert value == State(state.basis, state.amplitudes).norm, how
 
     def test_same_bits_as_a_fresh_sum(self):
         # each basis sums its own density formula (see the density tests)
         cells, modes = self._states()
-        h = self.GRID.spacing
-        for _ in range(2):  # the computing call and the cached one
-            assert cells.norm() == math.sqrt(h * float(np.sum(np.abs(self.V) ** 2)))
-            assert modes.norm() == math.sqrt(
+        h = CACHE_GRID.spacing
+        for _ in range(2):  # the computing read and the kept one
+            assert cells.norm == math.sqrt(h * float(np.sum(np.abs(self.V) ** 2)))
+            assert modes.norm == math.sqrt(
                 1.0 * float(np.sum(np.array([abs(a) ** 2 for a in self.V.tolist()])))
             )
-        assert modes.norm() != math.sqrt(float(np.sum(np.abs(self.V) ** 2)))
+        assert modes.norm != math.sqrt(float(np.sum(np.abs(self.V) ** 2)))
+        for how, state in _made_every_way(self.V):
+            fresh = math.sqrt(state.weight * float(np.sum(np.array(_fresh_density(state)))))
+            for _ in range(2):
+                assert state.norm == fresh, how
 
     def test_equality_hash_and_repr_ignore_the_cache(self):
-        for make in (lambda: State(self.GRID, self.V), lambda: make_state([("u", 1j)])):
-            a, b = make(), make()
-            before = repr(a)
-            a.norm()
-            assert a == b and b == a
-            assert hash(a) == hash(b)
-            assert repr(a) == before == repr(b)
+        for how, state in _made_every_way(self.V):
+            _assert_value_unseen(how, state, lambda s: s.norm)
 
 
 class TestBornCache:
-    GRID = Grid(-4.0, 4.0, 64)
+    V = np.random.default_rng(31).normal(size=64) + 1j * np.random.default_rng(32).normal(size=64)
 
     def test_equality_hash_and_repr_ignore_the_cache(self):
-        cell = State(self.GRID, np.full(64, 1.0))
-        cell = State(self.GRID, cell.amplitudes / cell.norm())
-        cases = (
-            (cell, Projector("in", self.GRID, ((10, 30),))),
-            (make_state([("u", 0.6j), ("l", 0.8)]), mode_projector("u", ("u", "l"), "u")),
-        )
-        for state, projector in cases:
+        for how, state in _made_every_way(self.V):
+            projector = Projector("in", state.basis, ((10, 30),))
             twin = State(state.basis, state.amplitudes)
-            before = repr(state)
-            probability(state, projector)
-            assert "_born" in vars(state) and "_born" not in vars(twin)
-            assert state == twin and twin == state
-            assert hash(state) == hash(twin)
-            assert repr(state) == before == repr(twin)
+            _assert_value_unseen(how, state, lambda s: probability(s, projector))
+            assert projector.ranges in state._range_sums, how
+            assert projector.ranges not in twin._range_sums, how
+            p = probability(state, projector)
+            assert probability(state, projector) is p, how
+            assert p == probability(twin, projector), how
 
 
 class TestEquality:
@@ -209,7 +233,7 @@ class TestEquality:
             (State(self.GRID, np.ones(64)), State(Grid(-4.0, 4.0, 64), np.ones(64))),
         ]
         for a, b in pairs:
-            b.density()  # the cache plays no part
+            b.density  # the cache plays no part
             assert a is not b
             assert (a == b) is True and (b == a) is True
             assert (a != b) is False
@@ -264,7 +288,7 @@ class TestInner:
 
     def test_inner_with_self_is_norm_squared(self):
         state = make_state([("u", 0.3 + 0.4j), ("l", 0.5)])
-        np.testing.assert_allclose(inner(state, state), norm(state) ** 2, atol=1e-14)
+        np.testing.assert_allclose(inner(state, state), state.norm ** 2, atol=1e-14)
 
     def test_hadamard_pair_orthogonal(self):
         plus = make_state([("u", INV_SQRT2), ("l", INV_SQRT2)])
@@ -284,7 +308,7 @@ class TestSuperpose:
         out = combine(u, l, INV_SQRT2, np.exp(1j * math.pi) * INV_SQRT2)
         np.testing.assert_allclose(out.amplitude("u"), INV_SQRT2, atol=1e-15)
         np.testing.assert_allclose(out.amplitude("l"), -INV_SQRT2, atol=1e-15)
-        np.testing.assert_allclose(norm(out), 1.0, atol=1e-12)
+        np.testing.assert_allclose(out.norm, 1.0, atol=1e-12)
 
     def test_identity_combination(self):
         s = make_state([("u", 0.6), ("l", 0.8j)])
@@ -296,7 +320,7 @@ class TestSuperpose:
         # recombiner would have to hide, which is why none exists
         u = make_state([("u", 1.0)])
         out = combine(u, u, INV_SQRT2, INV_SQRT2)
-        np.testing.assert_allclose(norm(out), math.sqrt(2), atol=1e-12)
+        np.testing.assert_allclose(out.norm, math.sqrt(2), atol=1e-12)
 
 
 def _random_state(rng, labels):
@@ -314,7 +338,7 @@ class TestAlgebraicProperties:
         for _ in range(50):
             a = _random_state(rng, self.LABELS)
             b = _random_state(rng, self.LABELS)
-            assert abs(inner(a, b)) <= norm(a) * norm(b) + 1e-12
+            assert abs(inner(a, b)) <= a.norm * b.norm + 1e-12
 
     def test_inner_linearity(self):
         rng = np.random.default_rng(12)
@@ -337,8 +361,8 @@ class TestAlgebraicProperties:
             cb = complex(rng.normal(), rng.normal())
             combo = combine(a, b, ca, cb)
             expected = (
-                abs(ca) ** 2 * norm(a) ** 2
-                + abs(cb) ** 2 * norm(b) ** 2
+                abs(ca) ** 2 * a.norm ** 2
+                + abs(cb) ** 2 * b.norm ** 2
                 + 2 * (np.conj(ca) * cb * inner(a, b)).real
             )
-            assert norm(combo) ** 2 == pytest.approx(expected, abs=1e-12)
+            assert combo.norm ** 2 == pytest.approx(expected, abs=1e-12)

@@ -7,7 +7,7 @@ from scipy import integrate
 
 from nosignal import wavepacket
 from nosignal.measurement import probability, window_projector
-from nosignal.modes import MAX_GRID_POINTS, Grid, State, combine, inner, norm
+from nosignal.modes import MAX_GRID_POINTS, Grid, State, combine, inner
 from nosignal.wavepacket import (
     CALIBRATION_HALFWIDTHS,
     CALIBRATION_SEPARATIONS,
@@ -111,11 +111,11 @@ class TestGrid:
 class TestGaussian:
     def test_normalized_on_modest_grid(self):
         wf = gaussian(Grid(-10.0, 10.0, 2048), 0.0, 1.0)
-        assert abs(norm(wf) - 1.0) <= 1e-8
+        assert abs(wf.norm - 1.0) <= 1e-8
 
     def test_peak_density_matches_normal_pdf(self):
         wf = gaussian(Grid(-10.0, 10.0, 2049), 0.0, 1.0)
-        peak = float(wf.density()[2049 // 2])
+        peak = float(wf.density[2049 // 2])
         assert peak == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-6)
 
     def test_truncated_packet_rejected(self):
@@ -141,8 +141,8 @@ class TestOrthogonalPair:
     def test_orthonormal_at_2_sigma(self, grid):
         pair = orthogonal_pair(grid, 2.0, 1.0)
         assert abs(inner(pair.upper, pair.lower)) <= 1e-10
-        assert abs(norm(pair.upper) - 1.0) <= 1e-8
-        assert abs(norm(pair.lower) - 1.0) <= 1e-8
+        assert abs(pair.upper.norm - 1.0) <= 1e-8
+        assert abs(pair.lower.norm - 1.0) <= 1e-8
 
     def test_wide_separation_approaches_raw_gaussian(self, grid):
         # the residual mixing is overlap/2 ~ 1.9e-6 at d = 10 sigma, so the
@@ -221,7 +221,7 @@ class TestRecombine:
 
     @pytest.mark.parametrize("phi", SWEEP)
     def test_norm_one_for_every_phase(self, calibrated_pair, phi):
-        assert abs(norm(recombine(calibrated_pair, phi)) - 1.0) <= 1e-8
+        assert abs(recombine(calibrated_pair, phi).norm - 1.0) <= 1e-8
 
     def test_raw_gaussian_recombination_breaks_the_norm(self, grid):
         # without orthogonalization the norm comes out sqrt(1 + s cos phi):
@@ -233,7 +233,7 @@ class TestRecombine:
         for phi in SWEEP:
             raw = combine(g_up, g_lo, 1 / math.sqrt(2), np.exp(1j * phi) / math.sqrt(2))
             expected = math.sqrt(1 + s * math.cos(phi))
-            assert norm(raw) == pytest.approx(expected, abs=1e-6)
+            assert raw.norm == pytest.approx(expected, abs=1e-6)
 
 
 class TestWindowProbability:
@@ -370,9 +370,9 @@ def _reference_calibrate(grid, sigma):
             continue
         h = grid.spacing
         # looked up in the module, so a test can swap the profiles for both scans
-        cum0 = np.concatenate(([0.0], np.cumsum(wavepacket.recombine(pair, 0.0).density()))) * h
+        cum0 = np.concatenate(([0.0], np.cumsum(wavepacket.recombine(pair, 0.0).density))) * h
         cum_pi = np.concatenate(
-            ([0.0], np.cumsum(wavepacket.recombine(pair, math.pi).density()))
+            ([0.0], np.cumsum(wavepacket.recombine(pair, math.pi).density))
         ) * h
         for halfwidth in CALIBRATION_HALFWIDTHS:
             window = symmetric_window(grid, float(halfwidth * sigma))
