@@ -26,9 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import audit as audit_mod
-from . import measurement, optics, wavepacket
-
 USAGE_ERROR = 1
 VERDICT_FAIL = 2
 
@@ -127,7 +124,10 @@ def _parse_phi(text: str) -> float:
     return phi
 
 
-def _grid_from(args, config, sigma: float) -> wavepacket.Grid:
+def _grid_from(args, config, sigma: float):
+    """The ``wavepacket.Grid`` of the flags and config, default-filled."""
+    from . import wavepacket
+
     defaults = wavepacket.default_grid(sigma)
     r_min = _setting(args, config, "r_min", defaults.r_min, float)
     r_max = _setting(args, config, "r_max", defaults.r_max, float)
@@ -135,8 +135,10 @@ def _grid_from(args, config, sigma: float) -> wavepacket.Grid:
     return wavepacket.Grid(r_min, r_max, points)
 
 
-def _geometry_from(args, config, grid: wavepacket.Grid, sigma: float):
+def _geometry_from(args, config, grid, sigma: float):
     """(separation, window) with calibrated defaults filled in."""
+    from . import wavepacket
+
     cal = wavepacket.default_calibration(sigma)
     separation = _setting(args, config, "separation", None, float)
     if separation is None:
@@ -155,7 +157,7 @@ def _geometry_from(args, config, grid: wavepacket.Grid, sigma: float):
 # audit
 # ---------------------------------------------------------------------------
 
-def _audit_csv(report: audit_mod.AuditReport) -> str:
+def _audit_csv(report) -> str:
     sender_labels = sorted(report.rows[0].sender) if report.rows else []
     header = ["phi"] + [f"sender_{label}" for label in sender_labels]
     header += ["receiver_analytic", "receiver_empirical", "trials"]
@@ -169,6 +171,8 @@ def _audit_csv(report: audit_mod.AuditReport) -> str:
 
 
 def cmd_audit(args) -> int:
+    from . import audit as audit_mod
+
     config = _load_config_file(args.config)
     variant = _setting(args, config, "variant", None)
     if variant is None:
@@ -216,6 +220,8 @@ def _density_text(grid, columns: list[tuple[str, "object"]], fmt: str) -> str:
 
 
 def cmd_density(args) -> int:
+    from . import wavepacket
+
     config = _load_config_file(args.config)
     fmt = _setting(args, config, "format", "csv")
     if fmt not in ("csv", "json"):
@@ -240,6 +246,8 @@ def cmd_density(args) -> int:
         states = {phi: psi}
     _write_output(args.out, _density_text(grid, columns, fmt))
     if args.verify:
+        from . import measurement
+
         counter = measurement.window_projector("in", grid, window)
         for phi, psi in states.items():
             p_in = measurement.probability(psi, counter)
@@ -253,6 +261,8 @@ def cmd_density(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
+    from . import optics
+
     path = Path(args.circuit)
     if not path.exists():
         bundled = optics.bundled_circuit_path(args.circuit)
@@ -282,6 +292,8 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
+    from . import wavepacket
+
     config = _load_config_file(args.config)
     sigma = _sigma(args, config)
     grid = _grid_from(args, config, sigma)
@@ -298,7 +310,12 @@ def cmd_calibrate(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
+#: The subcommands, in the order ``--help`` lists them.
+_COMMANDS = ("audit", "density", "validate", "calibrate")
+
+
+def build_parser(_command: str | None = None) -> _Parser:
+    """The parser for every command, or for ``_command`` alone when given."""
     parser = _Parser(prog="nosignal", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -306,49 +323,60 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--config", default=None, help="JSON config file; flags override")
 
-    p_audit = sub.add_parser("audit", help="run the no-signalling audit")
-    p_audit.add_argument("--variant", choices=audit_mod.VARIANTS, default=None)
-    p_audit.add_argument("--phi-sweep", dest="phi_sweep", type=int, default=None)
-    p_audit.add_argument("--trials", type=int, default=None)
-    p_audit.add_argument("--sigma", type=float, default=None)
-    p_audit.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
-    p_audit.add_argument("--format", default=None, help="output format: json or csv")
-    common(p_audit)
-    p_audit.set_defaults(func=cmd_audit)
+    if _command in (None, "audit"):
+        from .audit import VARIANTS
 
-    p_density = sub.add_parser("density", help="export interference density profiles")
-    p_density.add_argument("--phi", default=None, help="0, pi, or radians (default: both)")
-    p_density.add_argument("--sigma", type=float, default=None)
-    p_density.add_argument("--r-min", dest="r_min", type=float, default=None)
-    p_density.add_argument("--r-max", dest="r_max", type=float, default=None)
-    p_density.add_argument("--points", type=int, default=None)
-    p_density.add_argument("--separation", type=float, default=None)
-    p_density.add_argument("--halfwidth", type=float, default=None)
-    p_density.add_argument("--format", default=None, help="output format: csv or json")
-    p_density.add_argument(
-        "--verify", action="store_true", help="check normalization, echo window probabilities"
-    )
-    common(p_density)
-    p_density.set_defaults(func=cmd_density)
+        p_audit = sub.add_parser("audit", help="run the no-signalling audit")
+        p_audit.add_argument("--variant", choices=VARIANTS, default=None)
+        p_audit.add_argument("--phi-sweep", dest="phi_sweep", type=int, default=None)
+        p_audit.add_argument("--trials", type=int, default=None)
+        p_audit.add_argument("--sigma", type=float, default=None)
+        p_audit.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
+        p_audit.add_argument("--format", default=None, help="output format: json or csv")
+        common(p_audit)
+        p_audit.set_defaults(func=cmd_audit)
 
-    p_validate = sub.add_parser("validate", help="isometry-validate a circuit file")
-    p_validate.add_argument("--circuit", required=True, help="path or bundled name")
-    p_validate.add_argument("--out", default=None, help="output path (default: stdout)")
-    p_validate.set_defaults(func=cmd_validate)
+    if _command in (None, "density"):
+        p_density = sub.add_parser("density", help="export interference density profiles")
+        p_density.add_argument("--phi", default=None, help="0, pi, or radians (default: both)")
+        p_density.add_argument("--sigma", type=float, default=None)
+        p_density.add_argument("--r-min", dest="r_min", type=float, default=None)
+        p_density.add_argument("--r-max", dest="r_max", type=float, default=None)
+        p_density.add_argument("--points", type=int, default=None)
+        p_density.add_argument("--separation", type=float, default=None)
+        p_density.add_argument("--halfwidth", type=float, default=None)
+        p_density.add_argument("--format", default=None, help="output format: csv or json")
+        p_density.add_argument(
+            "--verify", action="store_true", help="check normalization, echo window probabilities"
+        )
+        common(p_density)
+        p_density.set_defaults(func=cmd_density)
 
-    p_cal = sub.add_parser("calibrate", help="scan detector geometry for contrast")
-    p_cal.add_argument("--sigma", type=float, default=None)
-    p_cal.add_argument("--r-min", dest="r_min", type=float, default=None)
-    p_cal.add_argument("--r-max", dest="r_max", type=float, default=None)
-    p_cal.add_argument("--points", type=int, default=None)
-    common(p_cal)
-    p_cal.set_defaults(func=cmd_calibrate)
+    if _command in (None, "validate"):
+        p_validate = sub.add_parser("validate", help="isometry-validate a circuit file")
+        p_validate.add_argument("--circuit", required=True, help="path or bundled name")
+        p_validate.add_argument("--out", default=None, help="output path (default: stdout)")
+        p_validate.set_defaults(func=cmd_validate)
+
+    if _command in (None, "calibrate"):
+        p_cal = sub.add_parser("calibrate", help="scan detector geometry for contrast")
+        p_cal.add_argument("--sigma", type=float, default=None)
+        p_cal.add_argument("--r-min", dest="r_min", type=float, default=None)
+        p_cal.add_argument("--r-max", dest="r_max", type=float, default=None)
+        p_cal.add_argument("--points", type=int, default=None)
+        common(p_cal)
+        p_cal.set_defaults(func=cmd_calibrate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run that names its command builds only that command's parser (and
+    # imports only what its arguments need); any other argv gets them all,
+    # so the top-level help and usage errors list every command
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

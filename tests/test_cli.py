@@ -505,16 +505,44 @@ class TestCalibrateCommand:
         assert out.exists()
 
 
-def test_cli_import_leaves_the_thread_pool_unimported():
-    # the audit imports concurrent.futures only when it starts sampling
-    # lanes, so a start-up that never samples does not pay for it
+#: Run in a fresh interpreter: the layers loaded after each step, as JSON lines.
+_LOADED_PROBE = """
+import json, sys
+
+def loaded():
+    return sorted(m[9:] for m in sys.modules if m.startswith("nosignal.") and m != "nosignal.cli")
+
+import nosignal
+print(json.dumps(loaded()))
+from nosignal import cli
+print(json.dumps(loaded()))
+print(json.dumps("concurrent.futures" in sys.modules))
+print(json.dumps(cli.main([*sys.argv[2:], "--out", sys.argv[1]])))
+print(json.dumps(loaded()))
+"""
+
+
+def test_cli_import_leaves_the_thread_pool_unimported(tmp_path):
+    # a cold start pays only for what its command reaches: the package and
+    # the CLI load no layer, and a command loads only its own layers.  The
+    # audit's lanes use threading, so no start-up imports the thread pool.
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
-    probe = "import sys, nosignal.cli; print('concurrent.futures' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
-    )
-    assert result.stdout.strip() == "False"
+    for argv, code, layers in [
+        (["validate", "--circuit", "shiekh"], 0, ["modes", "optics", "tolerances"]),
+        (["calibrate"], 2, ["modes", "tolerances", "wavepacket"]),
+    ]:
+        result = subprocess.run(
+            [sys.executable, "-c", _LOADED_PROBE, str(tmp_path / "out.json"), *argv],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        after_package, after_cli, pool, exit_code, after_command = map(
+            json.loads, result.stdout.splitlines()
+        )
+        assert after_package == [] and after_cli == [], argv
+        assert pool is False, argv
+        assert exit_code == code, argv
+        assert after_command == layers, argv
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
