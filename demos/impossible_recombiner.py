@@ -34,20 +34,18 @@ for name, circuit in (
     ("bundled 'shiekh' file", load_bundled_circuit("shiekh")),
 ):
     rep = validate_circuit(circuit)
-    print(f"  {name}: physical = {rep.physical}")
+    print(f"  {name}: physical = {rep['physical']}")
 
 for phi in (0.0, math.pi / 3, math.pi):
     element = hypothetical_canceller(("u", "l"), "merged", phi)
-    ok, dev = is_isometry(element.transfer)
+    ok, dev = is_isometry(element.matrix)
     print(f"  canceller(phi={phi:.3f}): isometry = {ok}, deviation = {dev:.3f}")
 
 print("\nvalidator report for the canceller circuit:")
-print(json.dumps(validate_circuit(canceller_circuit()).to_json_dict(), indent=2))
+print(json.dumps(validate_circuit(canceller_circuit()), indent=2))
 
 print("\nvalidator report for the bundled 10% attenuator:")
-print(json.dumps(
-    validate_circuit(load_bundled_circuit("attenuator-0.9")).to_json_dict(), indent=2
-))
+print(json.dumps(validate_circuit(load_bundled_circuit("attenuator-0.9")), indent=2))
 
 # --- applying it without opting in is refused -----------------------------
 photon = make_state([("in", 1.0)])

@@ -48,7 +48,7 @@ for phi in (0.0, math.pi):
 # --- the orthogonalized pair recombines unitarily ------------------------
 pair = orthogonal_pair(grid, cal.separation, 1.0)
 print(f"\northogonalized: <chi_u|chi_l> = "
-      f"{abs(inner(pair.upper, pair.lower)):.2e}")
+      f"{abs(inner(*pair)):.2e}")
 for phi in (0.0, math.pi / 2, math.pi):
     print(f"  recombined norm at phi={phi:.4f}: "
           f"{recombine(pair, phi).norm:.12f}")

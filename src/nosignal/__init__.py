@@ -11,7 +11,7 @@ Layers:
 
 * :mod:`nosignal.modes` -- the one state type: amplitudes over mode labels
   or grid cells, with its norm, inner product and superposition
-* :mod:`nosignal.optics` -- transfer matrices, circuits, isometry checks
+* :mod:`nosignal.optics` -- optical elements, circuits, isometry checks
 * :mod:`nosignal.wavepacket` -- Gaussian packets, interference profiles,
   detector windows, geometry calibration
 * :mod:`nosignal.measurement` -- projectors, Born rule, collapse, sampling
@@ -36,18 +36,16 @@ _EXPORTS = {
     for module, names in {
         "modes": "DuplicateModeError Grid State combine inner make_state",
         "optics": (
-            "Circuit Element NonPhysicalCircuitError PHASE_OFF PHASE_ON"
-            " TransferMatrix ValidationReport WiringError apply beam_splitter"
-            " canceller_circuit circuit_from_json circuit_matrix custom_element"
+            "Circuit Element NonPhysicalCircuitError PHASE_OFF PHASE_ON WiringError apply"
+            " beam_splitter canceller_circuit circuit_from_json circuit_matrix custom_element"
             " deflector hypothetical_canceller interferometer_output is_isometry"
-            " load_bundled_circuit mach_zehnder_circuit mirror mz_output"
-            " phase_shifter splitter_circuit validate_circuit"
+            " load_bundled_circuit mach_zehnder_circuit mirror mz_output phase_shifter"
+            " splitter_circuit validate_circuit"
         ),
         "wavepacket": (
             "CalibrationError CalibrationResult ConditioningError DetectorWindow"
-            " PacketPair TruncationError WindowDomainError calibrate"
-            " default_calibration default_grid gaussian orthogonal_pair recombine"
-            " symmetric_window"
+            " TruncationError WindowDomainError calibrate default_calibration default_grid"
+            " gaussian orthogonal_pair recombine symmetric_window"
         ),
         "measurement": (
             "IncompleteProjectorSetError OutcomeRecord Projector ProjectorSet"

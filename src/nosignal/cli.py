@@ -74,7 +74,7 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise _UsageError(f"cannot read config file {path}: {exc}")
     if not isinstance(data, dict):
         raise _UsageError("config file must contain a JSON object")
@@ -280,11 +280,11 @@ def cmd_validate(args) -> int:
     try:
         circuit = optics.circuit_from_json(text)
         report = optics.validate_circuit(circuit)
-    except ValueError as exc:  # WiringError and bad settings included
+    except (ValueError, RecursionError) as exc:  # WiringError, bad settings, deep nesting
         print(f"error: malformed circuit: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    _write_output(args.out, _json_text(report.to_json_dict()))
-    return 0 if report.physical else VERDICT_FAIL
+    _write_output(args.out, _json_text(report))
+    return 0 if report["physical"] else VERDICT_FAIL
 
 
 # ---------------------------------------------------------------------------

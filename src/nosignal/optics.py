@@ -26,7 +26,7 @@ import copy
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Sequence
 
@@ -53,36 +53,13 @@ class NonPhysicalCircuitError(RuntimeError):
     anyway, e.g. to demonstrate what the impossible canceller would do.
     """
 
-    def __init__(self, report: "ValidationReport"):
+    def __init__(self, report: dict):
         self.report = report
         failures = ", ".join(
-            f"element {f.element_index}: {f.reason} (deviation {f.deviation:.3g})"
-            for f in report.failures
+            f"element {f['element_index']}: {f['reason']} (deviation {f['deviation']:.3g})"
+            for f in report["failures"]
         )
         super().__init__(f"circuit is not physical: {failures}")
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Complex linear map from labelled input modes to labelled output modes."""
-
-    input_modes: tuple[str, ...]
-    output_modes: tuple[str, ...]
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        inputs = check_labels(self.input_modes)
-        outputs = check_labels(self.output_modes)
-        entries = np.array(self.entries, dtype=np.complex128)
-        if entries.shape != (len(outputs), len(inputs)):
-            raise ValueError(
-                f"matrix shape {entries.shape} does not match "
-                f"{len(outputs)} outputs x {len(inputs)} inputs"
-            )
-        entries.setflags(write=False)
-        object.__setattr__(self, "input_modes", inputs)
-        object.__setattr__(self, "output_modes", outputs)
-        object.__setattr__(self, "entries", entries)
 
 
 def _finite(name: str, value) -> float:
@@ -110,7 +87,7 @@ def _custom(rows) -> np.ndarray:
 
 
 #: Device kinds: ``(params, number of inputs) -> matrix entries``.  A wiring
-#: of the wrong arity gives a shape that ``TransferMatrix`` rejects.
+#: of the wrong arity gives a shape that ``Element`` rejects.
 _DEVICES = {
     "beam_splitter": lambda p, n: _splitter(_finite("theta", p.get("theta", _BALANCED_ANGLE))),
     "mirror": lambda p, n: np.eye(n, dtype=np.complex128),
@@ -131,15 +108,15 @@ class Element:
     ``mirror``, ``deflector``, ``phase_shifter`` (``phi``), ``canceller``
     (``phi``, default 0) or ``custom`` (``matrix``, rows of ``[re, im]``
     pairs).  ``params`` holds those settings as a circuit file's ``params``
-    object does, copied at construction.  The transfer matrix is built once,
-    here, so a bad kind, setting or wiring arity fails on creation.
+    object does, copied at construction.  ``matrix`` (outputs x inputs, read-only)
+    is built once, here, so a bad kind, setting or wiring arity fails on creation.
     """
 
     kind: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     params: dict = field(default_factory=dict)
-    transfer: TransferMatrix = field(init=False, repr=False, compare=False)
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         build = _DEVICES.get(self.kind) if isinstance(self.kind, str) else None
@@ -150,9 +127,14 @@ class Element:
         object.__setattr__(self, "inputs", check_labels(self.inputs))
         object.__setattr__(self, "outputs", check_labels(self.outputs))
         object.__setattr__(self, "params", copy.deepcopy(self.params))
-        entries = build(self.params, len(self.inputs))
-        transfer = TransferMatrix(self.inputs, self.outputs, entries)
-        object.__setattr__(self, "transfer", transfer)
+        matrix = np.array(build(self.params, len(self.inputs)), dtype=np.complex128)
+        if matrix.shape != (len(self.outputs), len(self.inputs)):
+            raise ValueError(
+                f"matrix shape {matrix.shape} does not match "
+                f"{len(self.outputs)} outputs x {len(self.inputs)} inputs"
+            )
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
 
 
 def beam_splitter(
@@ -194,38 +176,20 @@ def custom_element(
     inputs: Sequence[str],
     outputs: Sequence[str],
 ) -> Element:
-    """Element with explicit transfer-matrix entries (used for diagnostics)."""
+    """Element with explicit matrix entries (used for diagnostics)."""
     rows = [[[z.real, z.imag] for z in map(complex, row)] for row in matrix]
     return Element("custom", tuple(inputs), tuple(outputs), {"matrix": rows})
 
 
-def is_isometry(matrix: TransferMatrix) -> tuple[bool, float]:
+def is_isometry(matrix: np.ndarray) -> tuple[bool, float]:
     """Check ``M^dag M = I`` on the input modes.
 
     Returns ``(flag, deviation)`` where ``deviation`` is the max-entry
     magnitude of ``M^dag M - I`` and ``flag`` is ``deviation <= ISOMETRY_TOL``.
     """
-    gram = matrix.entries.conj().T @ matrix.entries
+    gram = matrix.conj().T @ matrix
     deviation = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
     return deviation <= ISOMETRY_TOL, deviation
-
-
-@dataclass(frozen=True)
-class ElementFailure:
-    element_index: int
-    deviation: float
-    reason: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of :func:`validate_circuit`: physical iff no element failed."""
-
-    physical: bool
-    failures: tuple[ElementFailure, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"physical": self.physical, "failures": [asdict(f) for f in self.failures]}
 
 
 @dataclass(frozen=True)
@@ -283,28 +247,31 @@ def _embedded_matrix(
     for row_local, out_mode in enumerate(element.outputs):
         row = nxt.index(out_mode)
         for col_local, in_mode in enumerate(element.inputs):
-            emb[row, live.index(in_mode)] = element.transfer.entries[row_local, col_local]
+            emb[row, live.index(in_mode)] = element.matrix[row_local, col_local]
     return emb
 
 
-def _report(steps) -> ValidationReport:
+def _report(steps) -> dict:
     """Isometry check of each element that :func:`_walk` yielded."""
     failures = []
     for index, element, _, _ in steps:
-        ok, deviation = is_isometry(element.transfer)
+        ok, deviation = is_isometry(element.matrix)
         if ok:
             continue
-        singulars = np.linalg.svd(element.transfer.entries, compute_uv=False)
+        singulars = np.linalg.svd(element.matrix, compute_uv=False)
         if np.all(singulars <= 1.0 + ISOMETRY_TOL) and np.min(singulars) < 1.0 - ISOMETRY_TOL:
             reason = "partial attenuation"
         else:
             reason = "not an isometry"
-        failures.append(ElementFailure(index, deviation, reason))
-    return ValidationReport(physical=not failures, failures=tuple(failures))
+        failures.append({"element_index": index, "deviation": deviation, "reason": reason})
+    return {"physical": not failures, "failures": failures}
 
 
-def validate_circuit(circuit: Circuit) -> ValidationReport:
+def validate_circuit(circuit: Circuit) -> dict:
     """Check wiring and per-element isometry at ``ISOMETRY_TOL``.
+
+    The report is the JSON object ``validate`` writes: ``physical``, and one
+    ``failures`` entry (``element_index``, ``deviation``, ``reason``) per failing element.
 
     Isometry failures are classified: an element whose singular values are
     all at most 1, some strictly below, only attenuates amplitudes -- still
@@ -314,13 +281,13 @@ def validate_circuit(circuit: Circuit) -> ValidationReport:
     return _report(_walk(circuit))
 
 
-def circuit_matrix(circuit: Circuit) -> TransferMatrix:
-    """Product of the embedded element matrices, wiring order respected."""
+def circuit_matrix(circuit: Circuit) -> tuple[tuple[str, ...], np.ndarray]:
+    """``(output_modes, matrix)``: product of the embedded element matrices, in wiring order."""
     total = np.eye(len(circuit.input_modes), dtype=np.complex128)
     live = circuit.input_modes
     for _, element, before, live in _walk(circuit):
         total = _embedded_matrix(before, live, element) @ total
-    return TransferMatrix(circuit.input_modes, live, total)
+    return live, total
 
 
 def apply(circuit: Circuit, state: State, allow_nonphysical: bool = False) -> State:
@@ -335,7 +302,7 @@ def apply(circuit: Circuit, state: State, allow_nonphysical: bool = False) -> St
         raise ValueError("circuits act on mode states, not on a grid basis")
     steps = list(_walk(circuit))
     report = _report(steps)
-    if not report.physical and not allow_nonphysical:
+    if not report["physical"] and not allow_nonphysical:
         raise NonPhysicalCircuitError(report)
     unknown = [m for m in state.basis if m not in circuit.input_modes]
     if unknown:

@@ -106,24 +106,12 @@ def gaussian(grid: Grid, center: float, sigma: float) -> State:
     return State._adopt(grid, raw.astype(np.complex128))
 
 
-@dataclass(frozen=True)
-class PacketPair:
-    """Orthonormalized packets on the upper (+d/2) and lower (-d/2) routes.
-
-    ``raw_overlap`` records the inner product of the displaced Gaussians
-    before orthogonalization, ``exp(-d^2 / (8 sigma^2))`` in closed form.
-    """
-
-    upper: State
-    lower: State
-    raw_overlap: float
-
-
-def orthogonal_pair(grid: Grid, separation: float, width: float) -> PacketPair:
+def orthogonal_pair(grid: Grid, separation: float, width: float) -> tuple[State, State]:
     """Symmetrically orthogonalize Gaussians centered at ``+-separation/2``.
 
-    The unique orthonormal pair that treats the two packets even-handedly
-    mixes each raw Gaussian with a small amount of the other:
+    Returns the states ``(upper, lower)``.  The unique orthonormal pair
+    that treats the two packets even-handedly mixes each raw Gaussian with
+    a small amount of the other:
     ``chi_{u,l} = (e +- o)/sqrt(2)`` with ``e`` and ``o`` the normalized sum
     and difference.  This preserves the mirror symmetry
     ``chi_u(r) = chi_l(-r)`` and keeps each packet localized on its own side.
@@ -137,7 +125,7 @@ def orthogonal_pair(grid: Grid, separation: float, width: float) -> PacketPair:
 # One entry: an audit asks for one geometry many times in a row, while a
 # calibration scan or a run of exports moves on and never asks again.
 @functools.lru_cache(maxsize=1, typed=True)
-def _orthogonal_pair(grid: Grid, separation: float, width: float) -> PacketPair:
+def _orthogonal_pair(grid: Grid, separation: float, width: float) -> tuple[State, State]:
     if not separation > 0:
         raise ValueError(f"separation must be positive, got {separation}")
     g_up = gaussian(grid, +separation / 2, width)
@@ -155,17 +143,18 @@ def _orthogonal_pair(grid: Grid, separation: float, width: float) -> PacketPair:
     inv_sqrt2 = 1 / math.sqrt(2)
     upper = combine(even, odd, inv_sqrt2, inv_sqrt2)
     lower = combine(even, odd, inv_sqrt2, -inv_sqrt2)
-    return PacketPair(upper, lower, overlap)
+    return upper, lower
 
 
-def recombine(pair: PacketPair, phi: float) -> State:
+def recombine(pair: tuple[State, State], phi: float) -> State:
     """Superpose the routes with relative phase: ``(chi_u + e^{i phi} chi_l)/sqrt(2)``.
 
     Because the pair is orthonormal the result has norm 1 for every phase;
     the interference only redistributes the density along ``r``.
     """
+    upper, lower = pair
     inv_sqrt2 = 1 / math.sqrt(2)
-    return combine(pair.upper, pair.lower, inv_sqrt2, np.exp(1j * phi) * inv_sqrt2)
+    return combine(upper, lower, inv_sqrt2, np.exp(1j * phi) * inv_sqrt2)
 
 
 @dataclass(frozen=True)

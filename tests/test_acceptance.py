@@ -161,12 +161,12 @@ def test_criterion_4_unitarity():
         phase_shifter("a", 0.0),
         phase_shifter("a", math.pi),
     ]
-    elements_ok = all(is_isometry(e.transfer)[0] for e in physical_elements)
+    elements_ok = all(is_isometry(e.matrix)[0] for e in physical_elements)
     bundled = load_bundled_circuit("shiekh")
-    bundled_ok = validate_circuit(bundled).physical
+    bundled_ok = validate_circuit(bundled)["physical"]
 
     canceller_devs = [
-        is_isometry(hypothetical_canceller(("a", "b"), "o", phi).transfer)[1]
+        is_isometry(hypothetical_canceller(("a", "b"), "o", phi).matrix)[1]
         for phi in SWEEP_64
     ]
     canceller_ok = all(abs(d - 0.5) <= 1e-12 for d in canceller_devs)

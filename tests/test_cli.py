@@ -60,6 +60,10 @@ MALFORMED_ELEMENTS = {
     "matrix-strings": (_element("custom", '{"matrix": [[["1", "0"]]]}'), "'matrix'"),
     "in-null": (_element("mirror", "{}", "[null]"), "nonempty strings"),
     "in-number": (_element("mirror", "{}", "[1]"), "nonempty strings"),
+    "splitter-arity": (
+        '{"kind": "beam_splitter", "params": {}, "in": ["l"], "out": ["b", "c"]}',
+        "does not match",
+    ),
 }
 
 
@@ -224,9 +228,10 @@ class TestAuditCommand:
         assert abs(first - 0.5) > binomial_band(20000)
 
 
-#: sha256 of each grid-path output, with the exit code: ``(argv, where the
-#: bytes go, exit code, digest)``.  Densities, norms, window probabilities,
-#: the density audit and the calibration scan each feed one of them.
+#: sha256 of each grid-path and validate output, with the exit code: ``(argv,
+#: where the bytes go, exit code, digest)``.  Densities, norms, window
+#: probabilities, the density audit, the calibration scan and the isometry
+#: report each feed one of them.
 PINNED_GRID_OUTPUTS = {
     "density-csv": (("density",), "out", 0,
                     "ce888845a8d64b6b656ab69a46c944413b4e161167ff857553d451ba55f03693"),
@@ -241,6 +246,12 @@ PINNED_GRID_OUTPUTS = {
     ),
     "calibrate": (("calibrate",), "out", 2,
                   "384c1b32a1a73f43c761c54177aafd5051509c0cde45d21bb75616323f80ce5d"),
+    "validate-shiekh": (("validate", "--circuit", "shiekh"), "out", 0,
+                        "080c90cdd6046bc601f22d15c769d6ece1826236ec67a0654765b5367eaf5f53"),
+    "validate-canceller": (("validate", "--circuit", "canceller"), "out", 2,
+                           "bc742c29dda832db1a2eb7a83739bac653db15427eec38da6fb98d7dffb393c1"),
+    "validate-attenuator": (("validate", "--circuit", "attenuator-0.9"), "out", 2,
+                            "a6fec9071b455ba9042d0b43734b33246edfe84f8ea203020fffc09c1e6b03f5"),
 }
 
 
@@ -439,6 +450,32 @@ def test_bad_value_ends_in_an_error_line(tmp_path, argv, config, message):
     assert "Traceback" not in result.stderr and "Warning" not in result.stderr
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("error:") and message in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+#: Input files nested too deep for the interpreter's recursion limit, by where they go.
+_DEEP_LIST = "[" * 100_000 + "]" * 100_000
+DEEP_INPUTS = {
+    "audit-config": (("audit", "--variant", "mach-zehnder", "--config"), _DEEP_LIST),
+    "density-config": (("density", "--config"), _DEEP_LIST),
+    "validate-circuit": (("validate", "--circuit"), _DEEP_LIST),
+    # parses, then overflows when the element copies its params
+    "validate-params": (
+        ("validate", "--circuit"),
+        "[" + _element("mirror", '{"x": ' + "[" * 700 + "]" * 700 + "}") + "]",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, text", DEEP_INPUTS.values(), ids=DEEP_INPUTS.keys())
+def test_deeply_nested_input_ends_in_an_error_line(tmp_path, argv, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    result = run_cli(*argv, str(path), "--out", str(tmp_path / "out"))
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error:")
     assert not (tmp_path / "out").exists()
 
 

@@ -207,7 +207,7 @@ class TestOneAllocation:
 
     def _built(self, grid, pair, states, calibration):
         """``(state, its input states, its amplitudes computed here)`` per builder."""
-        up, lo = pair.upper, pair.lower
+        up, lo = pair
         psi = states["constructive"]
         c = np.exp(0.7j) * INV_SQRT2
         window = window_projector("in", grid, calibration.window)

@@ -17,15 +17,15 @@ EXPORTS = {
     "modes": ["DuplicateModeError", "Grid", "State", "combine", "inner", "make_state"],
     "optics": [
         "Circuit", "Element", "NonPhysicalCircuitError", "PHASE_OFF", "PHASE_ON",
-        "TransferMatrix", "ValidationReport", "WiringError", "apply", "beam_splitter",
-        "canceller_circuit", "circuit_from_json", "circuit_matrix", "custom_element",
+        "WiringError", "apply", "beam_splitter", "canceller_circuit", "circuit_from_json",
+        "circuit_matrix", "custom_element",
         "deflector", "hypothetical_canceller", "interferometer_output", "is_isometry",
         "load_bundled_circuit", "mach_zehnder_circuit", "mirror", "mz_output",
         "phase_shifter", "splitter_circuit", "validate_circuit",
     ],
     "wavepacket": [
         "CalibrationError", "CalibrationResult", "ConditioningError", "DetectorWindow",
-        "PacketPair", "TruncationError", "WindowDomainError", "calibrate",
+        "TruncationError", "WindowDomainError", "calibrate",
         "default_calibration", "default_grid", "gaussian", "orthogonal_pair",
         "recombine", "symmetric_window",
     ],
@@ -46,8 +46,8 @@ NAMES = sorted(name for names in EXPORTS.values() for name in names)
 OWNER = {name: layer for layer, names in EXPORTS.items() for name in names}
 
 
-def test_all_lists_the_seventy_names():
-    assert len(NAMES) == 70
+def test_all_lists_the_sixty_seven_names():
+    assert len(NAMES) == 67
     assert sorted(nosignal.__all__) == NAMES
 
 
