@@ -69,31 +69,80 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise _UsageError(f"cannot read config file {path}: {exc}")
-    if not isinstance(data, dict):
-        raise _UsageError("config file must contain a JSON object")
-    return data
+#: Marks a setting that only a config file gives: it has no flag.
+_CONFIG_ONLY = "config only"
+
+#: Every setting, once: ``(name, commands, kind, default, help)``, in the
+#: order each command's ``--help`` lists its flags.  ``kind`` is ``int``,
+#: ``float``, a tuple of the values allowed, or None (passed through).  The
+#: config-only rows are a calibration record's keys, so a record read as a
+#: config file sets the geometry; ``calibrate`` takes and ignores them.
+_SETTINGS = (
+    ("variant", ("audit",), None, None, None),
+    ("phi_sweep", ("audit",), int, 64, None),
+    ("trials", ("audit",), int, 10_000, None),
+    ("phi", ("density",), None, None, "0, pi, or radians (default: both)"),
+    ("sigma", ("audit", "density", "calibrate"), float, 1.0, None),
+    ("r_min", ("density", "calibrate"), float, None, None),
+    ("r_max", ("density", "calibrate"), float, None, None),
+    ("points", ("density", "calibrate"), int, None, None),
+    ("separation", ("density",), float, None, None),
+    ("halfwidth", ("density",), float, None, None),
+    ("seed", ("audit",), int, 0, "random seed (default 0)"),
+    ("format", ("audit",), ("json", "csv"), "json", "output format: json or csv"),
+    ("format", ("density",), ("csv", "json"), "csv", "output format: csv or json"),
+    ("n_points", ("density", "calibrate"), int, None, _CONFIG_ONLY),
+    ("d_over_sigma", ("density", "calibrate"), float, None, _CONFIG_ONLY),
+    ("window_halfwidth_over_sigma", ("density", "calibrate"), float, None, _CONFIG_ONLY),
+    ("contrast", ("density", "calibrate"), float, None, _CONFIG_ONLY),
+    ("p_in_constructive", ("density", "calibrate"), float, None, _CONFIG_ONLY),
+    ("p_in_destructive", ("density", "calibrate"), float, None, _CONFIG_ONLY),
+)
 
 
-def _setting(args, config: dict, name: str, default, kind=None):
-    """Flag value if given, else config-file value, else the default.
+def _settings(args, command: str) -> dict:
+    """Each setting of ``command``: its flag if given, else its config value, else its default.
 
-    ``kind`` (``int`` or ``float``) converts any value but ``None``; a config
-    value it cannot convert is a usage error, not a traceback.  Booleans are
-    refused, and so is a fractional value for an ``int``: ``2.0`` is 2, but
-    ``2.7`` is not.
+    A config key that ``command`` does not take is a usage error, raised before
+    any work.  A given value, a config ``null`` too, goes through ``_convert``.
     """
-    value = getattr(args, name, None)
-    if value is None:
-        value = config.get(name, default)
-    if value is None or kind is None:
+    rows = {row[0]: row[2:4] for row in _SETTINGS if command in row[1]}
+    config = {}
+    if args.config is not None:
+        try:
+            config = json.loads(Path(args.config).read_text())
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
+            raise _UsageError(f"cannot read config file {args.config}: {exc}")
+        if not isinstance(config, dict):
+            raise _UsageError("config file must contain a JSON object")
+    for key in config:
+        if key not in rows:
+            import difflib
+
+            close = difflib.get_close_matches(key, rows, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise _UsageError(f"{command} has no setting {key!r}{hint}")
+    values = {}
+    for name, (kind, default) in rows.items():
+        value = getattr(args, name, None)
+        if value is None:
+            if name not in config:
+                values[name] = default
+                continue
+            value = config[name]
+        values[name] = _convert(name, value, kind)
+    return values
+
+
+def _convert(name: str, value, kind):
+    """``value`` as ``kind``, or a usage error, not a traceback.  Booleans are
+    refused, and so is a fractional value for an ``int``: 2.0 is 2, 2.7 is not."""
+    if kind is None:
         return value
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        raise _UsageError(f"setting {name!r} must be {' or '.join(kind)}, got {value!r}")
     fractional = kind is int and isinstance(value, float) and not value.is_integer()
     if not (isinstance(value, bool) or fractional):
         try:
@@ -101,13 +150,6 @@ def _setting(args, config: dict, name: str, default, kind=None):
         except (TypeError, ValueError, OverflowError):
             pass
     raise _UsageError(f"setting {name!r} must be {kind.__name__}, got {value!r}")
-
-
-def _sigma(args, config: dict) -> float:
-    sigma = _setting(args, config, "sigma", 1.0, float)
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise _UsageError(f"sigma must be a positive finite number, got {sigma}")
-    return sigma
 
 
 def _parse_phi(text: str) -> float:
@@ -124,29 +166,35 @@ def _parse_phi(text: str) -> float:
     return phi
 
 
-def _grid_from(args, config, sigma: float):
-    """The ``wavepacket.Grid`` of the flags and config, default-filled."""
+def _grid_from(s: dict):
+    """The ``wavepacket.Grid`` of the settings; ``n_points`` stands in for ``points``."""
     from . import wavepacket
 
+    sigma = s["sigma"]
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise _UsageError(f"sigma must be a positive finite number, got {sigma}")
     defaults = wavepacket.default_grid(sigma)
-    r_min = _setting(args, config, "r_min", defaults.r_min, float)
-    r_max = _setting(args, config, "r_max", defaults.r_max, float)
-    points = _setting(args, config, "points", defaults.n_points, int)
-    return wavepacket.Grid(r_min, r_max, points)
+    points = s["n_points"] if s["points"] is None else s["points"]
+    return wavepacket.Grid(
+        defaults.r_min if s["r_min"] is None else s["r_min"],
+        defaults.r_max if s["r_max"] is None else s["r_max"],
+        defaults.n_points if points is None else points,
+    )
 
 
-def _geometry_from(args, config, grid, sigma: float):
+def _geometry_from(s: dict, grid):
     """(separation, window) with calibrated defaults filled in."""
     from . import wavepacket
 
+    sigma = s["sigma"]
     cal = wavepacket.default_calibration(sigma)
-    separation = _setting(args, config, "separation", None, float)
+    separation = s["separation"]
     if separation is None:
-        ratio = _setting(args, config, "d_over_sigma", None, float)
+        ratio = s["d_over_sigma"]
         separation = cal.separation if ratio is None else ratio * sigma
-    halfwidth = _setting(args, config, "halfwidth", None, float)
+    halfwidth = s["halfwidth"]
     if halfwidth is None:
-        ratio = _setting(args, config, "window_halfwidth_over_sigma", None, float)
+        ratio = s["window_halfwidth_over_sigma"]
         if ratio is None:
             return separation, cal.window
         halfwidth = ratio * sigma
@@ -173,26 +221,18 @@ def _audit_csv(report) -> str:
 def cmd_audit(args) -> int:
     from . import audit as audit_mod
 
-    config = _load_config_file(args.config)
-    variant = _setting(args, config, "variant", None)
-    if variant is None:
+    s = _settings(args, "audit")
+    if s["variant"] is None:
         raise _UsageError("audit requires --variant")
-    sweep = _setting(args, config, "phi_sweep", 64, int)
-    trials = _setting(args, config, "trials", 10_000, int)
-    seed = _setting(args, config, "seed", 0, int)
-    sigma = _setting(args, config, "sigma", 1.0, float)
-    fmt = _setting(args, config, "format", "json")
-    if fmt not in ("json", "csv"):
-        raise _UsageError("audit supports --format json or csv")
     scenario = audit_mod.ScenarioConfig(
-        variant=variant,
-        phases=audit_mod.default_phase_sweep(sweep),
-        trials=trials,
-        seed=seed,
-        sigma=sigma,
+        variant=s["variant"],
+        phases=audit_mod.default_phase_sweep(s["phi_sweep"]),
+        trials=s["trials"],
+        seed=s["seed"],
+        sigma=s["sigma"],
     )
     report = audit_mod.no_signalling_audit(scenario)
-    text = _json_text(report.to_json_dict()) if fmt == "json" else _audit_csv(report)
+    text = _json_text(report.to_json_dict()) if s["format"] == "json" else _audit_csv(report)
     _write_output(args.out, text)
     return 0 if report.verdict == "pass" else VERDICT_FAIL
 
@@ -222,15 +262,11 @@ def _density_text(grid, columns: list[tuple[str, "object"]], fmt: str) -> str:
 def cmd_density(args) -> int:
     from . import wavepacket
 
-    config = _load_config_file(args.config)
-    fmt = _setting(args, config, "format", "csv")
-    if fmt not in ("csv", "json"):
-        raise _UsageError("density supports --format csv or json")
-    sigma = _sigma(args, config)
-    grid = _grid_from(args, config, sigma)
-    separation, window = _geometry_from(args, config, grid, sigma)
-    pair = wavepacket.orthogonal_pair(grid, separation, sigma)
-    phi_arg = _setting(args, config, "phi", None)
+    s = _settings(args, "density")
+    grid = _grid_from(s)
+    separation, window = _geometry_from(s, grid)
+    pair = wavepacket.orthogonal_pair(grid, separation, s["sigma"])
+    phi_arg = s["phi"]
     if phi_arg is None:
         psi0 = wavepacket.recombine(pair, 0.0)
         psi_pi = wavepacket.recombine(pair, math.pi)
@@ -244,7 +280,7 @@ def cmd_density(args) -> int:
         psi = wavepacket.recombine(pair, phi)
         columns = [("density", psi.density)]
         states = {phi: psi}
-    _write_output(args.out, _density_text(grid, columns, fmt))
+    _write_output(args.out, _density_text(grid, columns, s["format"]))
     if args.verify:
         from . import measurement
 
@@ -294,11 +330,10 @@ def cmd_validate(args) -> int:
 def cmd_calibrate(args) -> int:
     from . import wavepacket
 
-    config = _load_config_file(args.config)
-    sigma = _sigma(args, config)
-    grid = _grid_from(args, config, sigma)
+    s = _settings(args, "calibrate")
+    grid = _grid_from(s)
     try:
-        result = wavepacket.calibrate(grid, sigma)
+        result = wavepacket.calibrate(grid, s["sigma"])
     except wavepacket.CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return VERDICT_FAIL
@@ -310,63 +345,42 @@ def cmd_calibrate(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-#: The subcommands, in the order ``--help`` lists them.
-_COMMANDS = ("audit", "density", "validate", "calibrate")
+#: Each subcommand's help and function, in the order ``--help`` lists them.
+_COMMANDS = {
+    "audit": ("run the no-signalling audit", cmd_audit),
+    "density": ("export interference density profiles", cmd_density),
+    "validate": ("isometry-validate a circuit file", cmd_validate),
+    "calibrate": ("scan detector geometry for contrast", cmd_calibrate),
+}
 
 
 def build_parser(_command: str | None = None) -> _Parser:
     """The parser for every command, or for ``_command`` alone when given."""
     parser = _Parser(prog="nosignal", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (summary, func) in _COMMANDS.items():
+        if _command not in (None, command):
+            continue
+        p = sub.add_parser(command, help=summary)
+        if command == "validate":
+            p.add_argument("--circuit", required=True, help="path or bundled name")
+        for name, commands, kind, _, text in _SETTINGS:
+            if command not in commands or text is _CONFIG_ONLY:
+                continue
+            choices = None
+            if name == "variant":
+                from .audit import VARIANTS as choices
+            parse = kind if kind in (int, float) else None
+            p.add_argument("--" + name.replace("_", "-"), type=parse, choices=choices, help=text)
+        if command == "density":
+            p.add_argument(
+                "--verify", action="store_true",
+                help="check normalization, echo window probabilities",
+            )
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--config", default=None, help="JSON config file; flags override")
-
-    if _command in (None, "audit"):
-        from .audit import VARIANTS
-
-        p_audit = sub.add_parser("audit", help="run the no-signalling audit")
-        p_audit.add_argument("--variant", choices=VARIANTS, default=None)
-        p_audit.add_argument("--phi-sweep", dest="phi_sweep", type=int, default=None)
-        p_audit.add_argument("--trials", type=int, default=None)
-        p_audit.add_argument("--sigma", type=float, default=None)
-        p_audit.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
-        p_audit.add_argument("--format", default=None, help="output format: json or csv")
-        common(p_audit)
-        p_audit.set_defaults(func=cmd_audit)
-
-    if _command in (None, "density"):
-        p_density = sub.add_parser("density", help="export interference density profiles")
-        p_density.add_argument("--phi", default=None, help="0, pi, or radians (default: both)")
-        p_density.add_argument("--sigma", type=float, default=None)
-        p_density.add_argument("--r-min", dest="r_min", type=float, default=None)
-        p_density.add_argument("--r-max", dest="r_max", type=float, default=None)
-        p_density.add_argument("--points", type=int, default=None)
-        p_density.add_argument("--separation", type=float, default=None)
-        p_density.add_argument("--halfwidth", type=float, default=None)
-        p_density.add_argument("--format", default=None, help="output format: csv or json")
-        p_density.add_argument(
-            "--verify", action="store_true", help="check normalization, echo window probabilities"
-        )
-        common(p_density)
-        p_density.set_defaults(func=cmd_density)
-
-    if _command in (None, "validate"):
-        p_validate = sub.add_parser("validate", help="isometry-validate a circuit file")
-        p_validate.add_argument("--circuit", required=True, help="path or bundled name")
-        p_validate.add_argument("--out", default=None, help="output path (default: stdout)")
-        p_validate.set_defaults(func=cmd_validate)
-
-    if _command in (None, "calibrate"):
-        p_cal = sub.add_parser("calibrate", help="scan detector geometry for contrast")
-        p_cal.add_argument("--sigma", type=float, default=None)
-        p_cal.add_argument("--r-min", dest="r_min", type=float, default=None)
-        p_cal.add_argument("--r-max", dest="r_max", type=float, default=None)
-        p_cal.add_argument("--points", type=int, default=None)
-        common(p_cal)
-        p_cal.set_defaults(func=cmd_calibrate)
-
+        if command != "validate":
+            p.add_argument("--config", default=None, help="JSON config file; flags override")
+        p.set_defaults(func=func)
     return parser
 
 

@@ -28,6 +28,8 @@ from nosignal.modes import MAX_GRID_POINTS
 from nosignal.optics import bundled_circuit_path
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
+#: The frozen calibration record; a config file may carry all of its keys.
+DEFAULTS = Path(wavepacket.__file__).parent / "calibration" / "defaults.json"
 
 
 def run_cli(*args, cwd=None):
@@ -315,6 +317,18 @@ class TestDensityCommand:
         assert capsys.readouterr().err.startswith("error: grid n_points")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, extra, rows",
+        [((), {}, 129), (("--points", "65"), {}, 65), ((), {"points": 64}, 64)],
+        ids=["n-points", "points-flag-wins", "points-key-wins"],
+    )
+    def test_a_record_n_points_sets_the_grid_size(self, tmp_path, argv, extra, rows):
+        record = {**json.loads(DEFAULTS.read_text()), "n_points": 129, **extra}
+        config, out = tmp_path / "record.json", tmp_path / "density.csv"
+        config.write_text(json.dumps(record))
+        assert cli.main(["density", *argv, "--config", str(config), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + rows
+
     def test_truncating_geometry_reported(self, tmp_path):
         result = run_cli(
             "density", "--r-min", "-3", "--r-max", "3", "--separation", "5.5",
@@ -322,6 +336,16 @@ class TestDensityCommand:
         )
         assert result.returncode == 1
         assert "outside the grid" in result.stderr
+
+
+@pytest.mark.parametrize("command, code", [("density", 0), ("calibrate", 2)])
+def test_the_frozen_record_as_config_changes_nothing(tmp_path, capsys, command, code):
+    outputs = []
+    for config in ([], ["--config", str(DEFAULTS)]):
+        out = tmp_path / f"out{len(outputs)}"
+        assert cli.main([command, *config, "--out", str(out)]) == code
+        outputs.append((out.read_bytes(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
 
 
 class TestValidateCommand:
@@ -426,6 +450,24 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
          "sigma=0.001"),
         (("calibrate", "--sigma", "0.001", "--r-min", "-8", "--r-max", "8", "--points", "64"),
          None, "sigma=0.001"),
+        # a null is a value, refused as one, not an unset setting
+        (("audit",), {"variant": "mach-zehnder", "sigma": None},
+         "'sigma' must be float, got None"),
+        (("density",), {"sigma": None}, "'sigma' must be float, got None"),
+        (("calibrate",), {"sigma": None}, "'sigma' must be float, got None"),
+        (("density",), {"r_min": None}, "'r_min' must be float, got None"),
+        (("calibrate",), {"r_max": None}, "'r_max' must be float, got None"),
+        # a config key the command does not take
+        (("audit",), {"variant": "mach-zehnder", "phi_sweep": 2, "trails": 5, "sead": 3},
+         "audit has no setting 'trails'; did you mean 'trials'?"),
+        (("density", "--verify"), {"separaton": 3.0},
+         "density has no setting 'separaton'; did you mean 'separation'?"),
+        (("calibrate",), {"sigam": 2.0},
+         "calibrate has no setting 'sigam'; did you mean 'sigma'?"),
+        (("audit",), {"variant": "mach-zehnder", "points": 128}, "audit has no setting 'points'"),
+        (("density",), {"seed": 1}, "density has no setting 'seed'"),
+        (("calibrate",), {"trials": 10}, "calibrate has no setting 'trials'"),
+        (("density",), {"verify": True}, "density has no setting 'verify'"),
     ],
     ids=[
         "audit-seed-negative", "audit-sigma-nan", "audit-config-trials-string",
@@ -436,7 +478,11 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
         "density-halfwidth-nan", "density-config-halfwidth-negative", "density-span-overflows",
         "audit-trials-past-cap", "audit-config-trials-past-cap", "audit-phi-sweep-past-cap",
         "density-packet-unresolved", "density-json-packet-unresolved",
-        "calibrate-packet-unresolved",
+        "calibrate-packet-unresolved", "audit-config-sigma-null", "density-config-sigma-null",
+        "calibrate-config-sigma-null", "density-config-r-min-null", "calibrate-config-r-max-null",
+        "audit-config-misspelt-key", "density-config-misspelt-key",
+        "calibrate-config-misspelt-key", "audit-config-density-key", "density-config-audit-key",
+        "calibrate-config-audit-key", "density-config-flag-key",
     ],
 )
 def test_bad_value_ends_in_an_error_line(tmp_path, argv, config, message):

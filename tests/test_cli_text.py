@@ -4,9 +4,14 @@ Building only the named command's parser must not change what any command
 prints.  The texts are argparse's at an 80-column terminal.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 from nosignal import audit, cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: stdout of ``nosignal [<command>] --help``, by command ("" for the top level).
 HELP = {
@@ -123,3 +128,30 @@ def test_variant_choices_are_the_audit_variants(command):
     (commands,) = [a for a in parser._actions if a.dest == "command"]
     (variant,) = [a for a in commands.choices["audit"]._actions if a.dest == "variant"]
     assert tuple(variant.choices) == tuple(audit.VARIANTS)
+
+
+def _readme_flags() -> dict[str, list[str]]:
+    """The flags README's ``| command | flags |`` table lists, by command."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| command | flags |") + 2  # past the header and its rule
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        command, flags = line.strip("|").split("|")
+        table[command.strip().strip("`")] = re.findall(r"`(--[a-z-]+)`", flags)
+    return table
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_readme_flag_table_lists_the_parser_flags(command):
+    table = _readme_flags()
+    assert list(table) == list(cli._COMMANDS)
+    (commands,) = [a for a in cli.build_parser(command)._actions if a.dest == "command"]
+    flags = [
+        flag
+        for action in commands.choices[command]._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+    ]
+    assert sorted(table[command]) == sorted(flags)
