@@ -33,15 +33,17 @@ import numpy as np
 from .modes import Grid, State, make_state
 from .optics import mz_output
 from .measurement import (
+    CHUNK,
     MAX_SEED,
+    MAX_TRIALS,
     ProjectorSet,
     ZeroNormReductionError,
-    _born,
-    _cdf_edges,
+    count_outcomes,
     mode_projector,
     pair_partition,
+    probability,
     reduce,
-    trial_uniforms,
+    trial_uniforms,  # bound here for the frozen perfbench pin on audit.trial_uniforms
 )
 from .tolerances import ANALYTIC_TOL, NORM_TOL, REDUCTION_EPS
 from .wavepacket import (
@@ -58,11 +60,6 @@ VARIANTS = (VARIANT_DENSITY, VARIANT_MACH_ZEHNDER)
 
 RECEIVER_LABEL = "receiver"
 
-#: Most trials one row may sample.  Memory is bounded by ``_CHUNK`` per
-#: lane whatever the count, so this cap bounds the time a row takes.
-MAX_TRIALS = 2**24
-#: Draws a lane fills and counts at a time: 512 KiB of doubles.
-_CHUNK = 2**16
 #: Most phases :func:`default_phase_sweep` spreads over the circle.
 MAX_PHASES = 2**16
 
@@ -212,7 +209,7 @@ def reduce_composite(
     else:
         projector = sender_set.projectors[sender_set.labels.index(outcome)]
         amplitude = state.sender_amplitude
-        p = abs(amplitude) ** 2 * _born(state.sender_state, [projector])[0]
+        p = abs(amplitude) ** 2 * probability(state.sender_state, projector)
     if p < REDUCTION_EPS:
         raise ZeroNormReductionError(
             f"outcome {outcome!r} has global probability {p:.3e} < {REDUCTION_EPS}"
@@ -283,37 +280,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _count_between(config: ScenarioConfig, stream: int, lo, hi, draws, below) -> int:
-    """How many of one stream's ``config.trials`` draws fall in ``[lo, hi)``.
-
-    ``None`` is no bound.  The draws come ``_CHUNK`` at a time into the
-    lane's ``draws`` buffer, and ``below`` holds each comparison.  Trial
-    ``i`` still takes draw ``i``, and counts add over chunks, so the count
-    is the one a single batch of every draw gives.
-    """
-    count = 0
-    for start in range(0, config.trials, _CHUNK):
-        n = min(_CHUNK, config.trials - start)
-        chunk = trial_uniforms(config.seed, n, stream, start, out=draws)
-        count += n if hi is None else np.count_nonzero(np.less(chunk, hi, out=below[:n]))
-        if lo is not None:
-            count -= np.count_nonzero(np.less(chunk, lo, out=below[:n]))
-    return int(count)  # np.count_nonzero gives np.int64
-
-
-def _sample_row(
-    config: ScenarioConfig, index: int, probs, receiver: int, draws, below
-) -> tuple[float, bool]:
+def _sample_row(config: ScenarioConfig, index: int, probs, receiver: int) -> tuple[float, bool]:
     """Row ``index``'s empirical receiver frequency, and whether it is in band.
 
-    The probabilities are checked, and the receiver's CDF bounds taken,
-    once for the row.  A frequency outside its band is redrawn once, from
-    stream ``2 * index + 1``.
+    A frequency outside its band is redrawn once, from stream ``2 * index + 1``.
     """
-    lo, hi = _cdf_edges(probs)[receiver : receiver + 2]
     band = binomial_band(config.trials)
     for stream in (2 * index, 2 * index + 1):
-        empirical = _count_between(config, stream, lo, hi, draws, below) / config.trials
+        (count,) = count_outcomes(probs, config.seed, config.trials, stream, outcome=receiver)
+        empirical = count / config.trials
         if abs(empirical - 0.5) <= band:
             return empirical, True
     return empirical, False
@@ -323,30 +298,28 @@ def _sample_rows(config: ScenarioConfig, outcomes) -> list[tuple[float, bool]]:
     """:func:`_sample_row` for every ``(probs, receiver)`` row, in row order.
 
     Lanes run one per usable CPU, but no more than there are rows or
-    ``_CHUNK``-draw chunks of work.  The calling thread runs one lane; the
-    others run on threads joined before this returns.  Each lane allocates
-    one draw buffer and one comparison buffer, and takes the next row from
-    one shared counter as it finishes the last, so no lane idles while
-    rows are left.  Each row's streams are its own, so the lanes share
-    nothing else but the list they write each row's result into.  Once
-    any row has failed no lane takes another, and the failure of the
-    lowest row is raised, as a serial loop would raise it: every lower row
-    was already taken, and runs to its end.
+    ``CHUNK``-draw chunks of work.  The calling thread runs one lane; the
+    others run on threads joined before this returns, and each counts into
+    its own thread's buffers.  A lane takes the next row from one shared
+    counter as it finishes the last, so no lane idles while rows are left.
+    Each row's streams are its own, so the lanes share nothing else but
+    the list they write each row's result into.  Once any row has failed
+    no lane takes another, and the failure of the lowest row is raised, as
+    a serial loop would raise it: every lower row was already taken, and
+    runs to its end.
     """
     n = len(outcomes)
-    lanes = min(_usable_cpus(), n, -(-n * config.trials // _CHUNK))
-    size = min(_CHUNK, config.trials)
+    lanes = min(_usable_cpus(), n, -(-n * config.trials // CHUNK))
     rows = itertools.count()  # next() on it is one C call: atomic under the GIL
     sampled: list = [None] * n
     errors: dict[int, BaseException] = {}
 
     def lane() -> None:
-        draws, below = np.empty(size), np.empty(size, dtype=bool)
         for i in rows:
             if i >= n or errors:
                 return
             try:
-                sampled[i] = _sample_row(config, i, *outcomes[i], draws, below)
+                sampled[i] = _sample_row(config, i, *outcomes[i])
             except BaseException as exc:  # raised on the calling thread below
                 errors[i] = exc
                 return

@@ -15,7 +15,9 @@ come from a counter-based generator keyed by ``(seed, stream)``: trial
 or parallelized without changing any outcome.  A batch is counted, not
 indexed: with ``K`` outcomes there are only ``K - 1`` interior thresholds
 of the cumulative distribution, so :func:`count_outcomes` counts how many
-draws fall below each one instead of locating every draw.  Trial ``i``
+draws fall below each one instead of locating every draw.  It draws and
+counts ``CHUNK`` trials at a time into buffers each thread keeps, so
+memory stays bounded for any count up to ``MAX_TRIALS``.  Trial ``i``
 still takes the outcome draw ``i`` selects.
 """
 
@@ -233,9 +235,15 @@ def pair_partition(window: DetectorWindow, grid: Grid) -> ProjectorSet:
 #: Seeds are non-negative 63-bit integers.
 MAX_SEED = 2**63
 
+#: Most trials one count may sample.  Memory is bounded by ``CHUNK`` draws
+#: per thread whatever the count, so this cap bounds the time a count takes.
+MAX_TRIALS = 2**24
+#: Draws a thread fills and counts at a time: 512 KiB of doubles.
+CHUNK = 2**16
 
-#: One generator per thread, re-keyed on every call, so lanes never share one.
-_generators = threading.local()
+#: Each thread's generator, re-keyed on every call, and its draw and
+#: comparison buffers, made on its first count; so lanes never share one.
+_per_thread = threading.local()
 
 #: The counter and the buffer of a fresh key.  The state setter copies each
 #: word into the generator, so every call and every thread passes this array.
@@ -255,9 +263,9 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
         raise ValueError("seed must be a non-negative 63-bit integer")
     if not (0 <= stream < 2**63):
         raise ValueError("stream index out of range")
-    gen = getattr(_generators, "gen", None)
+    gen = getattr(_per_thread, "gen", None)
     if gen is None:
-        gen = _generators.gen = np.random.Generator(np.random.Philox(0))
+        gen = _per_thread.gen = np.random.Generator(np.random.Philox(0))
     gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {
@@ -301,44 +309,44 @@ def trial_uniforms(
     return gen.random(out=out[:n])
 
 
-def _cdf_edges(probs) -> list[float | None]:
-    """Inverse-CDF bounds: draw ``u`` picks outcome ``k`` when ``edges[k] <= u < edges[k + 1]``.
+def count_outcomes(
+    probs, seed: int, n: int, stream: int = 0, start: int = 0, outcome: int | None = None
+) -> list[int]:
+    """Inverse-CDF sampling: how many of draws ``start..start+n-1`` of a stream pick each outcome.
 
-    ``edges`` is ``[None, cdf[0], ..., cdf[K-2], None]``, where ``None`` is
-    no bound.  So draw ``u`` picks the first outcome whose cumulative
-    probability exceeds ``u``, and the last outcome takes every draw not
-    below ``cdf[K-2]``, including those that rounding leaves above the
-    last CDF entry.  Non-negative probabilities keep the CDF
-    non-decreasing, so these are the choices a ``side="right"`` binary
-    search of the CDF makes per draw, clamped to the last outcome.
+    Draw ``u`` picks the first outcome whose cumulative probability exceeds
+    ``u``; the last outcome also takes the draws that rounding leaves above
+    the last CDF entry.  Non-negative probabilities keep the CDF sorted, so
+    that is a ``side="right"`` search of it clamped to the last outcome, and
+    the draws picking one of outcomes ``0..k`` are those below ``cdf[k]``:
+    each interior CDF entry is compared with the draws once.  The draws come
+    ``CHUNK`` at a time into this thread's buffers.
+    With ``outcome=k`` only that outcome's bounds are compared: ``[count_k]``.
 
-    Raises ``ValueError`` unless there is at least one probability and each
-    is finite and non-negative: a NaN compares false with every draw and
-    would otherwise hand all of them to the last outcome.
+    Raises ``ValueError`` unless there is a probability and each is finite
+    and non-negative (a NaN compares false with every draw), for an ``n``
+    outside ``[0, MAX_TRIALS]`` and for an ``outcome`` out of range.
     """
     probs = np.asarray(probs, dtype=float)
     if not (probs.size and np.all(np.isfinite(probs) & (probs >= 0.0))):
         raise ValueError(f"outcome probabilities must be finite and >= 0, got {probs}")
-    return [None, *np.cumsum(probs)[:-1].tolist(), None]
-
-
-def count_outcomes(probs, draws) -> list[int]:
-    """Inverse-CDF sampling: how many of the uniform ``draws`` pick each outcome.
-
-    The draws that pick one of outcomes ``0..k`` are exactly those below
-    ``cdf[k]`` (see :func:`_cdf_edges`), so each interior CDF entry is
-    compared with the draws once and outcome ``k`` gets
-    ``below_k - below_{k-1}``.
-
-    Raises ``ValueError`` for probabilities :func:`_cdf_edges` refuses, and
-    unless ``draws`` is 1-D with every draw in ``[0, 1)``: a NaN draw would
-    otherwise go to the last outcome.
-    """
-    edges = _cdf_edges(probs)
-    draws = np.asarray(draws, dtype=float)
-    if not (draws.ndim == 1 and np.all((draws >= 0.0) & (draws < 1.0))):
-        raise ValueError(f"draws must be a 1-D array of uniforms in [0, 1), got {draws}")
-    below = [0, *(int(np.count_nonzero(draws < c)) for c in edges[1:-1]), len(draws)]
+    if not (isinstance(n, numbers.Integral) and 0 <= n <= MAX_TRIALS):
+        raise ValueError(f"n must be an integer in [0, {MAX_TRIALS}], got {n!r}")
+    k = len(probs)
+    first, last = (0, k) if outcome is None else (outcome, outcome + 1)
+    if not 0 <= first < last <= k:
+        raise ValueError(f"outcome {outcome!r} is not one of the {k} outcomes")
+    bounds = np.cumsum(probs)[max(first, 1) - 1 : min(last, k - 1)].tolist()
+    if not hasattr(_per_thread, "buffers"):
+        _per_thread.buffers = np.empty(CHUNK), np.empty(CHUNK, dtype=bool)
+    draws, flags = _per_thread.buffers
+    below = [0] * len(bounds)
+    for at in range(start, start + n, CHUNK) or (start,):  # n = 0 still checks the key
+        size = min(CHUNK, start + n - at)
+        chunk = trial_uniforms(seed, size, stream, at, out=draws)
+        for j, bound in enumerate(bounds):
+            below[j] += int(np.count_nonzero(np.less(chunk, bound, out=flags[:size])))
+    below = [0] * (first == 0) + below + [n] * (last == k)
     return [hi - lo for lo, hi in zip(below, below[1:])]
 
 
@@ -351,7 +359,7 @@ def measure(
     ``(state, projector_set, seed, trial)``.
     """
     probs = projector_set.probabilities(state)
-    counts = count_outcomes(probs, trial_uniforms(seed, 1, 0, trial))
+    counts = count_outcomes(probs, seed, 1, 0, trial)
     chosen = projector_set.projectors[counts.index(1)]
     return chosen.label, reduce(state, chosen)
 
@@ -365,6 +373,6 @@ def sample_outcomes(
     ``trial=i``, so batched and one-at-a-time sampling agree exactly.
     """
     probs = projector_set.probabilities(state)
-    counts = count_outcomes(probs, trial_uniforms(seed, n_trials, stream))
+    counts = count_outcomes(probs, seed, n_trials, stream)
     return dict(zip(projector_set.labels, counts))
 

@@ -34,7 +34,6 @@ from nosignal.measurement import (
     mode_projector,
     pair_partition,
     three_counter_partition,
-    trial_uniforms,
     window_projector,
 )
 from nosignal.modes import State, make_state
@@ -374,7 +373,7 @@ class TestAuditReport:
         )
         pset = sender_projectors(density_config)
         labels, probs = composite_outcomes(evolved, pset)
-        counts = count_outcomes(probs, trial_uniforms(9, 5000))
+        counts = count_outcomes(probs, 9, 5000)
         assert sum(counts) == 5000
         assert len(counts) == len(labels)
         assert set(labels) == {"in", "out", "receiver"}

@@ -1,22 +1,21 @@
 """The audit's sampling lanes against a serial reference.
 
 The reference is the audit as one loop on the calling thread: each row
-draws its whole stream in one batch, and a row outside its band redraws
+counts every outcome of its stream, and a row outside its band counts
 the whole of the next stream.  The lanes take rows on threads as they
-come free and fill each stream in chunks; the reports must be equal
-field for field.
+come free and count only the receiver; the reports must be equal field
+for field.  ``tests/test_measurement.py`` checks the chunked counter
+itself against a binary search of one batch of draws.
 """
 
 import math
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from nosignal import audit, measurement
 from nosignal.audit import (
-    _CHUNK,
     RECEIVER_LABEL,
     AuditReport,
     AuditRow,
@@ -46,8 +45,8 @@ def serial_audit(config: ScenarioConfig) -> tuple[AuditReport, list[int]]:
         labels, probs = audit.composite_outcomes(state, sender_set)
         receiver = labels.index(RECEIVER_LABEL)
         for stream in (2 * index, 2 * index + 1):
-            draws = trial_uniforms(config.seed, config.trials, stream)
-            empirical = count_outcomes(probs, draws)[receiver] / config.trials
+            counts = count_outcomes(probs, config.seed, config.trials, stream)
+            empirical = counts[receiver] / config.trials
             if abs(empirical - 0.5) <= band:
                 break
         else:
@@ -90,7 +89,7 @@ def draw_threads(monkeypatch):
         idents.append((threading.get_ident(), stream // 2))
         return trial_uniforms(seed, n, stream, start, out=out)
 
-    monkeypatch.setattr(audit, "trial_uniforms", recording)
+    monkeypatch.setattr(measurement, "trial_uniforms", recording)
     return idents
 
 
@@ -102,7 +101,7 @@ def _hold_first_draws(monkeypatch, lanes):
     """
     barrier = threading.Barrier(lanes)
     seen = set()
-    draw = audit.trial_uniforms
+    draw = measurement.trial_uniforms
 
     def held(*args, **kwargs):
         if threading.get_ident() not in seen:
@@ -110,7 +109,7 @@ def _hold_first_draws(monkeypatch, lanes):
             barrier.wait(timeout=30)
         return draw(*args, **kwargs)
 
-    monkeypatch.setattr(audit, "trial_uniforms", held)
+    monkeypatch.setattr(measurement, "trial_uniforms", held)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -139,14 +138,14 @@ def test_lanes_match_the_serial_reference(monkeypatch, draw_threads, references,
 def test_a_slow_row_holds_up_only_its_own_lane(monkeypatch, draw_threads, references):
     # rows are dealt as lanes come free: while row 0's first draw sleeps,
     # the other lane takes every other row
-    draw = audit.trial_uniforms
+    draw = measurement.trial_uniforms
 
     def row_0_sleeps(seed, n, stream=0, start=0, out=None):
         if stream == 0 and start == 0:
             time.sleep(0.2)
         return draw(seed, n, stream, start, out=out)
 
-    monkeypatch.setattr(audit, "trial_uniforms", row_0_sleeps)
+    monkeypatch.setattr(measurement, "trial_uniforms", row_0_sleeps)
     monkeypatch.setattr(audit, "_usable_cpus", lambda: 2)
     name = "seed13-resamples-row-7"
     before = threading.active_count()
@@ -155,25 +154,6 @@ def test_a_slow_row_holds_up_only_its_own_lane(monkeypatch, draw_threads, refere
     slow = {ident for ident, row in draw_threads if row == 0}
     assert len(slow) == 1
     assert {row for ident, row in draw_threads if ident in slow} == {0}
-
-
-@pytest.mark.parametrize("trials", [1, _CHUNK, _CHUNK + 1, 100003])
-@pytest.mark.parametrize(
-    "probs",
-    # 0.7 + 0.2 + 0.1 sums to 1 - 2**-53 in doubles
-    [[0.25, 0.0, 0.75], [0.7, 0.2, 0.1]],
-    ids=["zero-outcome", "cdf-below-1"],
-)
-def test_lane_counting_equals_count_outcomes(probs, trials):
-    config = _mz((0.0,), trials, 21)
-    size = min(_CHUNK, trials)
-    draws, below = np.empty(size), np.empty(size, dtype=bool)
-    edges = measurement._cdf_edges(probs)
-    for stream in (0, 5):
-        expected = count_outcomes(probs, trial_uniforms(21, trials, stream))
-        for k in (0, 1, 2):  # first, middle, last
-            count = audit._count_between(config, stream, *edges[k : k + 2], draws, below)
-            assert type(count) is int and count == expected[k]
 
 
 @pytest.mark.parametrize("nan_rows", [{1}, {1, 2}, {2, 5}])

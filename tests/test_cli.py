@@ -22,8 +22,8 @@ from nosignal.audit import (
     no_signalling_audit,
     sender_projectors,
 )
-from nosignal import audit, cli, wavepacket
-from nosignal.measurement import count_outcomes, trial_uniforms
+from nosignal import cli, measurement, wavepacket
+from nosignal.measurement import count_outcomes
 from nosignal.modes import MAX_GRID_POINTS
 from nosignal.optics import bundled_circuit_path
 
@@ -187,7 +187,7 @@ class TestAuditCommand:
         def no_draws(*args):
             raise AssertionError("uniforms were drawn for a refused audit")
 
-        monkeypatch.setattr(audit, "trial_uniforms", no_draws)
+        monkeypatch.setattr(measurement, "trial_uniforms", no_draws)
         out = tmp_path / "x"
         argv = ["audit", "--variant", "mach-zehnder", flag, str(value), "--out", str(out)]
         assert cli.main(argv) == 1
@@ -226,7 +226,7 @@ class TestAuditCommand:
         state = evolve_sender(build_initial(config), config.phases[7], config)
         labels, probs = composite_outcomes(state, sender_projectors(config))
         receiver = labels.index(RECEIVER_LABEL)
-        first = count_outcomes(probs, trial_uniforms(13, 20000, 14))[receiver] / 20000
+        first = count_outcomes(probs, 13, 20000, 14)[receiver] / 20000
         assert abs(first - 0.5) > binomial_band(20000)
 
 

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from nosignal import measurement
 from nosignal.measurement import (
+    CHUNK,
+    MAX_TRIALS,
     IncompleteProjectorSetError,
     Projector,
     ProjectorSet,
@@ -626,6 +629,35 @@ class TestSampling:
         assert counts["in"] / n == pytest.approx(0.5, abs=band)
         assert counts["recv"] / n == pytest.approx(0.5, abs=band)
 
+    @staticmethod
+    def _halves():
+        state = make_state([("in", INV_SQRT2), ("recv", INV_SQRT2)])
+        modes = ("in", "recv")
+        return state, ProjectorSet(tuple(mode_projector(m, state.basis, m) for m in modes))
+
+    def test_a_large_sample_holds_one_chunk_of_draws(self):
+        # the draws go a chunk at a time into buffers this thread keeps, made
+        # on its first count: 2**22 trials as one array would be 32 MiB
+        state, pset = self._halves()
+        sample_outcomes(state, pset, seed=3, n_trials=10)
+        tracemalloc.start()
+        try:
+            counts = sample_outcomes(state, pset, seed=3, n_trials=2**22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(counts.values()) == 2**22
+        assert peak < 2 * 2**20
+
+    def test_past_the_cap_refused_before_any_draw(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("uniforms were drawn for a refused count")
+
+        monkeypatch.setattr(measurement, "trial_uniforms", no_draws)
+        state, pset = self._halves()
+        with pytest.raises(ValueError, match=r"n must be an integer in \[0, 16777216\]"):
+            sample_outcomes(state, pset, seed=3, n_trials=MAX_TRIALS + 1)
+
 
 def _searchsorted_counts(probs, draws) -> list[int]:
     """Reference counter: locate each draw in the CDF, clamp to the last outcome."""
@@ -643,8 +675,20 @@ def _random_probabilities(rng) -> np.ndarray:
     return probs / probs.sum() * (1.0 + rng.choice([0.0, 1e-12, -1e-12]))
 
 
+def _feed(monkeypatch, draws) -> int:
+    """Make ``measurement.trial_uniforms`` write ``draws[start:start + n]`` into ``out[:n]``."""
+    draws = np.asarray(draws, dtype=float)
+
+    def fed(seed, n, stream=0, start=0, out=None):
+        out[:n] = draws[start : start + n]
+        return out[:n]
+
+    monkeypatch.setattr(measurement, "trial_uniforms", fed)
+    return len(draws)
+
+
 class TestCountOutcomes:
-    def test_matches_searchsorted_on_cdf_edges(self):
+    def test_matches_searchsorted_on_cdf_edges(self, monkeypatch):
         rng = np.random.default_rng(20240805)
         for _ in range(2000):
             probs = _random_probabilities(rng)
@@ -655,33 +699,61 @@ class TestCountOutcomes:
             draws = np.concatenate(
                 [edges, [0.0, np.nextafter(1.0, 0.0)], rng.random(int(rng.integers(0, 20)))]
             )
-            # a uniform lies in [0, 1); the edges next to 0 and 1 outside it are refused
+            # a uniform lies in [0, 1); the edges next to 0 and 1 outside it are left out
             draws = draws[(draws >= 0.0) & (draws < 1.0)]
             expected = _searchsorted_counts(probs, draws)
-            for args in ((probs, draws), (probs.tolist(), draws.tolist())):
+            n = _feed(monkeypatch, draws)
+            for args in ((probs, 0, n), (probs.tolist(), 0, n)):
                 counts = count_outcomes(*args)
                 assert counts == expected
                 assert all(type(c) is int for c in counts)
 
-    def test_single_draw_from_a_list(self):
-        assert count_outcomes([0.25, 0.0, 0.75], [0.25]) == [0, 0, 1]
-        assert count_outcomes([0.25, 0.0, 0.75], [np.nextafter(0.25, 0.0)]) == [1, 0, 0]
-        assert count_outcomes([1.0], [0.5]) == [1]
+    def test_single_draw_from_a_list(self, monkeypatch):
+        assert count_outcomes([0.25, 0.0, 0.75], 0, _feed(monkeypatch, [0.25])) == [0, 0, 1]
+        n = _feed(monkeypatch, [np.nextafter(0.25, 0.0)])
+        assert count_outcomes([0.25, 0.0, 0.75], 0, n) == [1, 0, 0]
+        assert count_outcomes([1.0], 0, _feed(monkeypatch, [0.5])) == [1]
+
+    @pytest.mark.parametrize("n", [1, CHUNK, CHUNK + 1, 100003])
+    @pytest.mark.parametrize(
+        "probs",
+        # 0.7 + 0.2 + 0.1 sums to 1 - 2**-53 in doubles
+        [[0.25, 0.0, 0.75], [0.7, 0.2, 0.1]],
+        ids=["zero-outcome", "cdf-below-1"],
+    )
+    def test_chunked_counts_match_one_searched_batch(self, probs, n):
+        for stream in (0, 5):
+            expected = _searchsorted_counts(probs, trial_uniforms(21, n, stream))
+            assert count_outcomes(probs, 21, n, stream) == expected
+            for k in (0, 1, 2):  # first, middle, last
+                (count,) = count_outcomes(probs, 21, n, stream, outcome=k)
+                assert type(count) is int and count == expected[k]
+            # counts from any start add up: trial i keeps draw i
+            head = count_outcomes(probs, 21, n // 2, stream)
+            tail = count_outcomes(probs, 21, n - n // 2, stream, n // 2)
+            assert [a + b for a, b in zip(head, tail)] == expected
 
     @pytest.mark.parametrize(
         "probs",
-        [[math.nan, 1.0], [0.5, math.nan, 0.5], [-0.25, 1.25], [math.inf, 0.0], []],
-        ids=["nan-first", "nan-middle", "negative", "infinite", "empty"],
+        [
+            [math.nan, 1.0], [0.5, math.nan, 0.5], [-0.25, 1.25], [math.inf, 0.0], [],
+            [-1e-12, 1.0],
+        ],
+        ids=["nan-first", "nan-middle", "negative", "infinite", "empty", "barely-negative"],
     )
     def test_invalid_probabilities_rejected(self, probs):
         with pytest.raises(ValueError, match="finite and >= 0"):
-            count_outcomes(probs, np.array([0.1, 0.9]))
+            count_outcomes(probs, 0, 2)
 
+    @pytest.mark.parametrize("n", [0, 3])
     @pytest.mark.parametrize(
-        "draws",
-        [[[0.1, 0.9]], [0.1, math.nan], [1.0], [0.5, -0.25], [math.inf], 0.5],
-        ids=["2-d", "nan", "one", "negative", "infinite", "scalar"],
+        "seed, stream", [(-1, 0), (2**63, 0), (0, -1)], ids=["negative", "64-bit", "stream"]
     )
-    def test_draws_that_are_not_uniforms_are_refused(self, draws):
-        with pytest.raises(ValueError, match=r"1-D array of uniforms in \[0, 1\)"):
-            count_outcomes([0.5, 0.5], draws)
+    def test_a_bad_key_is_refused_for_any_count(self, seed, stream, n):
+        with pytest.raises(ValueError, match="seed must be|stream index"):
+            count_outcomes([0.5, 0.5], seed, n, stream)
+
+    @pytest.mark.parametrize("outcome", [-1, 3])
+    def test_an_outcome_that_is_not_one_is_refused(self, outcome):
+        with pytest.raises(ValueError, match="is not one of the 3 outcomes"):
+            count_outcomes([0.25, 0.0, 0.75], 0, 2, outcome=outcome)

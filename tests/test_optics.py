@@ -114,6 +114,11 @@ class TestValidateCircuit:
         report = validate_circuit(circuit)
         assert not report["physical"]
         assert report["failures"][0]["reason"] == "partial attenuation"
+        # a loss of 1e-6 is far past ISOMETRY_TOL, and still an attenuation
+        barely = Circuit(
+            (custom_element([[math.sqrt(1 - 1e-6)]], ("a",), ("a",)),), input_modes=("a",)
+        )
+        assert validate_circuit(barely)["failures"][0]["reason"] == "partial attenuation"
 
     def test_wiring_mismatch_names_offender(self):
         circuit = Circuit(

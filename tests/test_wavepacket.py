@@ -282,6 +282,11 @@ class TestWindowProbability:
         psi = recombine(calibrated_pair, 0.0)
         with pytest.raises(WindowDomainError):
             _in_window(psi, DetectorWindow(grid.r_min - 1.0, 0.0))
+        # an edge may sit up to half a cell past the grid, where it snaps to
+        # the grid's first edge; a whole cell past is outside it
+        with pytest.raises(WindowDomainError):
+            _in_window(psi, DetectorWindow(grid.r_min - grid.spacing, 0.0))
+        _in_window(psi, DetectorWindow(grid.r_min - 0.25 * grid.spacing, 0.0))
 
     def test_unnormalized_state_rejected(self, grid):
         psi = gaussian(grid, 0.0, 1.0)
