@@ -9,8 +9,9 @@ Exit codes separate operational problems from scientific verdicts:
   calibration below target)
 
 All randomness flows from ``--seed``; identical invocations produce
-byte-identical outputs.  Files are written atomically (temp file, rename)
-and floats serialize with shortest round-trip precision, so reports are
+byte-identical outputs.  ``--out`` follows links; a regular file is written
+atomically (temp file, rename), anything else, such as a FIFO, is written
+into.  Floats serialize with shortest round-trip precision, so reports are
 lossless at double precision.
 """
 
@@ -48,8 +49,13 @@ def _write_output(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), suffix=".tmp")
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():
+        # a FIFO, a device, ...: write into it, never rename over it
+        with open(target, "w") as handle:
+            handle.write(text)
+        return
+    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -183,21 +189,19 @@ def _grid_from(s: dict):
 
 
 def _geometry_from(s: dict, grid):
-    """(separation, window) with calibrated defaults filled in."""
+    """(separation, window): each from its flag, else from the config record's
+    ratio times sigma, else from the frozen record's.  The window is snapped on ``grid``."""
     from . import wavepacket
 
     sigma = s["sigma"]
-    cal = wavepacket.default_calibration(sigma)
-    separation = s["separation"]
+    frozen = wavepacket.default_calibration().to_json_dict()
+    separation, halfwidth = s["separation"], s["halfwidth"]
     if separation is None:
         ratio = s["d_over_sigma"]
-        separation = cal.separation if ratio is None else ratio * sigma
-    halfwidth = s["halfwidth"]
+        separation = (frozen["d_over_sigma"] if ratio is None else ratio) * sigma
     if halfwidth is None:
         ratio = s["window_halfwidth_over_sigma"]
-        if ratio is None:
-            return separation, cal.window
-        halfwidth = ratio * sigma
+        halfwidth = (frozen["window_halfwidth_over_sigma"] if ratio is None else ratio) * sigma
     return separation, wavepacket.symmetric_window(grid, halfwidth)
 
 
@@ -301,24 +305,18 @@ def cmd_validate(args) -> int:
 
     path = Path(args.circuit)
     if not path.exists():
-        bundled = optics.bundled_circuit_path(args.circuit)
-        if bundled.is_file():
-            text = bundled.read_text()
-        else:
-            print(f"error: cannot read circuit file {args.circuit}", file=sys.stderr)
-            return USAGE_ERROR
-    else:
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            print(f"error: cannot read circuit file: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+        path = optics.bundled_circuit_path(args.circuit)
+        if not path.is_file():
+            raise _UsageError(f"cannot read circuit file {args.circuit}")
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise _UsageError(f"cannot read circuit file: {exc}")
     try:
         circuit = optics.circuit_from_json(text)
         report = optics.validate_circuit(circuit)
     except (ValueError, RecursionError) as exc:  # WiringError, bad settings, deep nesting
-        print(f"error: malformed circuit: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise _UsageError(f"malformed circuit: {exc}")
     _write_output(args.out, _json_text(report))
     return 0 if report["physical"] else VERDICT_FAIL
 

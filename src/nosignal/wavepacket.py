@@ -189,18 +189,21 @@ def window_cells(grid: Grid, window: DetectorWindow) -> tuple[int, int]:
 
 
 def symmetric_window(grid: Grid, halfwidth: float) -> DetectorWindow:
-    """Centered window snapped to cell edges, symmetric about the grid center."""
+    """``[-halfwidth, +halfwidth]`` about r = 0, the packets' midpoint, snapped to cell edges.
+
+    Each end snaps to its nearest cell edge.  Under a cell wide, the window is
+    the cell holding r = 0, or the two cells beside r = 0 when it is a cell
+    edge.  Ends are not clipped: :func:`window_cells` refuses a window outside the grid.
+    """
     if not (math.isfinite(halfwidth) and halfwidth > 0):
         raise ValueError(f"halfwidth must be a positive finite number, got {halfwidth}")
-    n = grid.n_points
-    if n % 2:
-        m = max(0, round(halfwidth / grid.spacing - 0.5))
-        cells = 2 * m + 1
-    else:
-        cells = 2 * max(1, round(halfwidth / grid.spacing))
-    lo = grid.edge_value((n - cells) // 2)
-    hi = grid.edge_value((n + cells) // 2)
-    return DetectorWindow(lo, hi)
+    h = grid.spacing
+    zero = grid.n_points / 2 - grid.center / h  # r = 0 in cell-edge units
+    below, above = math.floor(zero), math.ceil(zero)
+    least = int(below == above)  # r = 0 on a cell edge: at least one cell each side
+    lo = below - max(least, round(halfwidth / h - (zero - below)))
+    hi = above + max(least, round(halfwidth / h - (above - zero)))
+    return DetectorWindow(grid.edge_value(lo), grid.edge_value(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -294,24 +297,22 @@ def calibrate(grid: Grid, sigma: float) -> CalibrationResult:
 # Frozen defaults
 # ---------------------------------------------------------------------------
 
-def _defaults() -> dict:
-    text = (resources.files(__package__) / "calibration" / "defaults.json").read_text()
-    return json.loads(text)
+def _defaults(sigma: float) -> tuple[dict, Grid]:
+    data = json.loads((resources.files(__package__) / "calibration" / "defaults.json").read_text())
+    return data, Grid(data["r_min"] * sigma, data["r_max"] * sigma, data["n_points"])
 
 
 def default_grid(sigma: float = 1.0) -> Grid:
     """The grid the frozen calibration was produced on, scaled by ``sigma``."""
-    data = _defaults()
-    return Grid(data["r_min"] * sigma, data["r_max"] * sigma, data["n_points"])
+    return _defaults(sigma)[1]
 
 
 def default_calibration(sigma: float = 1.0) -> CalibrationResult:
-    """Frozen calibrated geometry (recomputable via :func:`calibrate`)."""
-    data = _defaults()
-    halfwidth = data["window_halfwidth_over_sigma"] * sigma
+    """Frozen calibrated geometry on :func:`default_grid` (recomputable via :func:`calibrate`)."""
+    data, grid = _defaults(sigma)
     return CalibrationResult(
         separation=data["d_over_sigma"] * sigma,
-        window=DetectorWindow(-halfwidth, halfwidth),
+        window=symmetric_window(grid, data["window_halfwidth_over_sigma"] * sigma),
         contrast=data["contrast"],
         p_in_constructive=data["p_in_constructive"],
         p_in_destructive=data["p_in_destructive"],

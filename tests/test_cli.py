@@ -348,6 +348,44 @@ def test_the_frozen_record_as_config_changes_nothing(tmp_path, capsys, command, 
     assert outputs[0] == outputs[1]
 
 
+#: A grid that holds the packets whole but is not centred on their midpoint, r = 0.
+OFF_CENTRE = ("--r-min", "-10", "--r-max", "14")
+
+
+def test_an_off_centre_grid_reads_the_record_as_it_reads_the_defaults(tmp_path, capsys):
+    echoed = []
+    for config in ([], ["--config", str(DEFAULTS)]):
+        argv = ["density", "--verify", *OFF_CENTRE, "--points", "1000", *config]
+        assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        echoed.append(capsys.readouterr().out)
+    assert echoed[0] == echoed[1]
+
+
+@pytest.mark.parametrize("r_min, r_max", [("-10", "14"), ("-14", "10")])
+def test_calibrate_off_centre_reaches_the_centred_contrast(tmp_path, r_min, r_max):
+    out = tmp_path / "cal.json"
+    assert cli.main(["calibrate", "--r-min", r_min, "--r-max", r_max, "--out", str(out)]) == 2
+    contrast = json.loads(out.read_text())["contrast"]
+    assert contrast == pytest.approx(wavepacket.default_calibration().contrast, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [(("--halfwidth", "100"), None), ((), {"window_halfwidth_over_sigma": 100})],
+    ids=["flag", "config"],
+)
+def test_a_window_wider_than_the_grid_ends_in_an_error_line(tmp_path, argv, config):
+    extra = []
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        extra = ["--config", str(path)]
+    result = run_cli("density", "--verify", *argv, *extra, "--out", str(tmp_path / "out"))
+    assert result.returncode == 1
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error:") and "reaches outside the grid" in result.stderr
+
+
 class TestValidateCommand:
     def test_bundled_splitter_passes(self):
         result = run_cli("validate", "--circuit", str(bundled_circuit_path("shiekh")))
@@ -384,6 +422,23 @@ class TestValidateCommand:
         result = run_cli("validate", "--circuit", str(broken))
         assert result.returncode == 1
         assert "malformed" in result.stderr
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "deep"])
+    def test_each_unreadable_circuit_ends_in_one_error_line(self, tmp_path, kind):
+        path = tmp_path / "circuit.json"
+        expected = {
+            "missing": f"error: cannot read circuit file {path}\n",
+            "directory": f"error: cannot read circuit file: [Errno 21] Is a directory: '{path}'\n",
+            "deep": "error: malformed circuit: maximum recursion depth exceeded",
+        }[kind]
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "deep":
+            path.write_text(_DEEP_LIST)
+        result = run_cli("validate", "--circuit", str(path), "--out", str(tmp_path / "out"))
+        assert result.returncode == 1
+        assert result.stderr.startswith(expected) and result.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "element, message", MALFORMED_ELEMENTS.values(), ids=MALFORMED_ELEMENTS.keys()
@@ -654,3 +709,28 @@ def test_a_failed_rename_keeps_the_old_report_and_no_temp_file(tmp_path, monkeyp
         cli._write_output(str(target), '{"new": true}\n')
     assert target.read_bytes() == b'{"old": true}\n'
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_out_through_a_link_writes_the_file_it_points_to(tmp_path):
+    report = tmp_path / "report.json"
+    report.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(report)
+    assert cli.main(["validate", "--circuit", "shiekh", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert json.loads(report.read_text())["physical"] is True
+
+
+def test_out_into_a_fifo_writes_into_it(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # the reading end opens first and does not wait for a writer, so neither
+    # end blocks: the report is far smaller than the pipe's buffer
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert cli.main(["validate", "--circuit", "shiekh", "--out", str(fifo)]) == 0
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert json.loads(data)["physical"] is True

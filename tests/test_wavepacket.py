@@ -305,6 +305,45 @@ class TestWindowProbability:
             symmetric_window(grid, halfwidth)
 
 
+def _odd_even_rule(grid, halfwidth):
+    """On a grid centred at r = 0: an odd cell count about the center sample
+    when ``n_points`` is odd, an even one (at least 2) when it is even."""
+    n, x = grid.n_points, halfwidth / grid.spacing
+    cells = 2 * max(0, round(x - 0.5)) + 1 if n % 2 else 2 * max(1, round(x))
+    return grid.edge_value((n - cells) // 2), grid.edge_value((n + cells) // 2)
+
+
+class TestSymmetricWindow:
+    @pytest.mark.parametrize("n_points", [64, 65, 129, 1025, 4096, 4097])
+    def test_centred_grid_keeps_the_odd_even_rule(self, n_points):
+        for sigma in (0.3, 1.0, 1.7):
+            g = Grid(-12 * sigma, 12 * sigma, n_points)
+            widths = [float(w * sigma) for w in CALIBRATION_HALFWIDTHS]
+            widths += [f * g.spacing for f in (1e-9, 0.25, 0.5, 0.75, 1.0, 1.5, 2.5)]
+            for halfwidth in widths:
+                window = symmetric_window(g, halfwidth)
+                assert (window.lo, window.hi) == _odd_even_rule(g, halfwidth), (sigma, halfwidth)
+
+    @pytest.mark.parametrize(
+        "n_points, shift", [(4096, 512), (4096, -512), (4097, 700), (65, -3), (64, 5)]
+    )
+    def test_a_grid_moved_by_whole_cells_keeps_the_window_about_r_0(self, n_points, shift):
+        # the moved grid's cell edges are the centred grid's, so the window about
+        # the packets' midpoint r = 0 must stay where it is
+        centred = Grid(-12.0, 12.0, n_points)
+        h = centred.spacing
+        moved = Grid(-12.0 + shift * h, 12.0 + shift * h, n_points)
+        for halfwidth in [float(w) for w in CALIBRATION_HALFWIDTHS] + [0.1 * h]:
+            a, b = symmetric_window(centred, halfwidth), symmetric_window(moved, halfwidth)
+            assert (b.lo, b.hi) == pytest.approx((a.lo, a.hi), abs=1e-9), halfwidth
+
+    def test_the_frozen_window_is_snapped_on_the_default_grid(self, grid):
+        window = default_calibration().window
+        assert window == symmetric_window(grid, FROZEN_HALFWIDTH)
+        assert window_cells(grid, window) == (1852, 2245)
+        assert window.halfwidth == FROZEN_HALFWIDTH
+
+
 class TestCalibrate:
     def test_reproduces_frozen_defaults(self, grid):
         result = calibrate(grid, 1.0)
