@@ -13,7 +13,6 @@ import math
 from nosignal import (
     default_calibration,
     default_grid,
-    measure,
     orthogonal_pair,
     pair_partition,
     probability,
@@ -54,11 +53,18 @@ for phi in (0.0, math.pi):
     row = ", ".join(f"{lbl} {p:.4f}" for lbl, p in zip(trio.labels, probs))
     print(f"\nphi = {phi:.2f}: {row} (sum {probs.sum():.9f})")
 
+
 # --- seeded shots: reproducible single measurements -----------------------
+def shot(seed):
+    """The outcome of one seeded trial: the label whose count is 1."""
+    counts = sample_outcomes(recombine(pair, math.pi), trio, seed=seed, n_trials=1)
+    return max(counts, key=counts.get)
+
+
 print("\nten seeded shots on the destructive profile (three counters):")
-shots = [measure(recombine(pair, math.pi), trio, seed=seed)[0] for seed in range(10)]
+shots = [shot(seed) for seed in range(10)]
 print("  outcomes:", " ".join(shots))
-shots_again = [measure(recombine(pair, math.pi), trio, seed=seed)[0] for seed in range(10)]
+shots_again = [shot(seed) for seed in range(10)]
 print("  replayed:", " ".join(shots_again))
 
 # --- batched sampling agrees with per-shot sampling -----------------------

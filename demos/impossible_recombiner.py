@@ -17,7 +17,6 @@ from nosignal import (
     Circuit,
     NonPhysicalCircuitError,
     apply,
-    canceller_circuit,
     hypothetical_canceller,
     interferometer_output,
     is_isometry,
@@ -41,8 +40,9 @@ for phi in (0.0, math.pi / 3, math.pi):
     ok, dev = is_isometry(element.matrix)
     print(f"  canceller(phi={phi:.3f}): isometry = {ok}, deviation = {dev:.3f}")
 
+canceller = load_bundled_circuit("canceller")  # splitter, pi shifter, canceller
 print("\nvalidator report for the canceller circuit:")
-print(json.dumps(validate_circuit(canceller_circuit()), indent=2))
+print(json.dumps(validate_circuit(canceller), indent=2))
 
 print("\nvalidator report for the bundled 10% attenuator:")
 print(json.dumps(validate_circuit(load_bundled_circuit("attenuator-0.9")), indent=2))
@@ -50,12 +50,12 @@ print(json.dumps(validate_circuit(load_bundled_circuit("attenuator-0.9")), inden
 # --- applying it without opting in is refused -----------------------------
 photon = make_state([("in", 1.0)])
 try:
-    apply(canceller_circuit(), photon)
+    apply(canceller, photon)
 except NonPhysicalCircuitError as exc:
     print(f"\nrefused as expected: {exc}")
 
 # --- opted in: a normalized state vanishes --------------------------------
-vanished = apply(canceller_circuit(math.pi), photon, allow_nonphysical=True)
+vanished = apply(canceller, photon, allow_nonphysical=True)
 print(f"\nopted-in canceller on the full device: output norm = {vanished.norm:.2e}")
 
 merge_only = Circuit(

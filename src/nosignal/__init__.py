@@ -36,11 +36,11 @@ _EXPORTS = {
     for module, names in {
         "modes": "DuplicateModeError Grid State combine inner make_state",
         "optics": (
-            "Circuit Element NonPhysicalCircuitError PHASE_OFF PHASE_ON WiringError apply"
-            " beam_splitter canceller_circuit circuit_from_json circuit_matrix custom_element"
-            " deflector hypothetical_canceller interferometer_output is_isometry"
-            " load_bundled_circuit mach_zehnder_circuit mirror mz_output phase_shifter"
-            " splitter_circuit validate_circuit"
+            "Circuit Element NonPhysicalCircuitError WiringError apply beam_splitter"
+            " circuit_from_json circuit_matrix custom_element deflector"
+            " hypothetical_canceller interferometer_output is_isometry load_bundled_circuit"
+            " mach_zehnder_circuit mirror mz_output phase_shifter splitter_circuit"
+            " validate_circuit"
         ),
         "wavepacket": (
             "CalibrationError CalibrationResult ConditioningError DetectorWindow"
@@ -49,7 +49,7 @@ _EXPORTS = {
         ),
         "measurement": (
             "IncompleteProjectorSetError OutcomeRecord Projector ProjectorSet"
-            " ZeroNormReductionError measure mode_projector outcome_records"
+            " ZeroNormReductionError mode_projector outcome_records"
             " pair_partition probability reduce sample_outcomes"
             " three_counter_partition window_projector"
         ),

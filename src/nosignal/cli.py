@@ -55,7 +55,10 @@ def _write_output(path: str | None, text: str) -> None:
         with open(target, "w") as handle:
             handle.write(text)
         return
-    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
+    except OSError as exc:  # its message names the random temp file, not the report
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -284,11 +287,12 @@ def cmd_density(args) -> int:
         psi = wavepacket.recombine(pair, phi)
         columns = [("density", psi.density)]
         states = {phi: psi}
-    _write_output(args.out, _density_text(grid, columns, s["format"]))
-    if args.verify:
+    if args.verify:  # a window off the grid is refused before the CSV is written
         from . import measurement
 
         counter = measurement.window_projector("in", grid, window)
+    _write_output(args.out, _density_text(grid, columns, s["format"]))
+    if args.verify:
         for phi, psi in states.items():
             p_in = measurement.probability(psi, counter)
             sender = {"in": 0.5 * p_in, "out": 0.5 * (1.0 - p_in)}

@@ -310,9 +310,9 @@ def trial_uniforms(
 
 
 def count_outcomes(
-    probs, seed: int, n: int, stream: int = 0, start: int = 0, outcome: int | None = None
+    probs, seed: int, n: int, stream: int = 0, outcome: int | None = None
 ) -> list[int]:
-    """Inverse-CDF sampling: how many of draws ``start..start+n-1`` of a stream pick each outcome.
+    """Inverse-CDF sampling: how many of draws ``0..n-1`` of a stream pick each outcome.
 
     Draw ``u`` picks the first outcome whose cumulative probability exceeds
     ``u``; the last outcome also takes the draws that rounding leaves above
@@ -341,8 +341,8 @@ def count_outcomes(
         _per_thread.buffers = np.empty(CHUNK), np.empty(CHUNK, dtype=bool)
     draws, flags = _per_thread.buffers
     below = [0] * len(bounds)
-    for at in range(start, start + n, CHUNK) or (start,):  # n = 0 still checks the key
-        size = min(CHUNK, start + n - at)
+    for at in range(0, n, CHUNK) or (0,):  # n = 0 still checks the key
+        size = min(CHUNK, n - at)
         chunk = trial_uniforms(seed, size, stream, at, out=draws)
         for j, bound in enumerate(bounds):
             below[j] += int(np.count_nonzero(np.less(chunk, bound, out=flags[:size])))
@@ -350,27 +350,13 @@ def count_outcomes(
     return [hi - lo for lo, hi in zip(below, below[1:])]
 
 
-def measure(
-    state: State, projector_set: ProjectorSet, seed: int, trial: int = 0
-) -> tuple[str, State]:
-    """Sample one outcome by the Born rule and return the reduced state.
-
-    Deterministic: the outcome is a pure function of
-    ``(state, projector_set, seed, trial)``.
-    """
-    probs = projector_set.probabilities(state)
-    counts = count_outcomes(probs, seed, 1, 0, trial)
-    chosen = projector_set.projectors[counts.index(1)]
-    return chosen.label, reduce(state, chosen)
-
-
 def sample_outcomes(
     state: State, projector_set: ProjectorSet, seed: int, n_trials: int, stream: int = 0
 ) -> dict[str, int]:
-    """Outcome counts over ``n_trials`` Born-rule samples (vectorized).
+    """Outcome counts over ``n_trials`` Born-rule samples.
 
-    Trial ``i`` uses the same draw :func:`measure` would use for
-    ``trial=i``, so batched and one-at-a-time sampling agree exactly.
+    Trial ``i`` takes draw ``i`` of the stream; one seeded shot is the
+    label that ``n_trials=1`` counts once.
     """
     probs = projector_set.probabilities(state)
     counts = count_outcomes(probs, seed, n_trials, stream)

@@ -35,10 +35,6 @@ import numpy as np
 from .modes import Grid, State, check_labels, make_state
 from .tolerances import ISOMETRY_TOL
 
-#: Phase-shifter settings for the two canonical interferometer arrangements.
-PHASE_OFF = 0.0
-PHASE_ON = math.pi
-
 _BALANCED_ANGLE = math.pi / 4
 
 
@@ -341,7 +337,7 @@ def mz_output(phi: float) -> State:
     return make_state([("H", (1 + z) / 2), ("V", (1 - z) / 2)])
 
 
-def splitter_circuit(phi: float = PHASE_OFF) -> Circuit:
+def splitter_circuit(phi: float = 0.0) -> Circuit:
     """The split-shift-deflect device: splitter, two mirrors, shifter, deflectors."""
     return Circuit(
         elements=(
@@ -356,7 +352,7 @@ def splitter_circuit(phi: float = PHASE_OFF) -> Circuit:
     )
 
 
-def mach_zehnder_circuit(phi: float = PHASE_OFF) -> Circuit:
+def mach_zehnder_circuit(phi: float = 0.0) -> Circuit:
     """Standard Mach-Zehnder: the splitter circuit plus a recombining splitter."""
     base = splitter_circuit(phi)
     return Circuit(
@@ -365,48 +361,29 @@ def mach_zehnder_circuit(phi: float = PHASE_OFF) -> Circuit:
     )
 
 
-def canceller_circuit(phi: float = PHASE_ON) -> Circuit:
-    """Splitter followed by the impossible perfect recombiner.
-
-    With ``phi = pi`` the two routes meet the canceller exactly out of
-    phase and the output amplitude is zero everywhere: a normalized state
-    mapped to the zero vector, which is the reason no such device exists.
-    """
-    return Circuit(
-        elements=(
-            beam_splitter(("in", "vac"), ("u", "l")),
-            phase_shifter("l", phi),
-            hypothetical_canceller(("u", "l"), "merged", 0.0),
-        ),
-        input_modes=("in", "vac"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Circuit description files
 # ---------------------------------------------------------------------------
-
-def element_from_json_dict(data: dict) -> Element:
-    ok = isinstance(data, dict) and all(isinstance(data.get(k), list) for k in ("in", "out"))
-    if not ok:
-        raise ValueError(f"element must be an object with 'in' and 'out' lists, got {data!r}")
-    params = data.get("params", {})
-    return Element(data.get("kind"), tuple(data["in"]), tuple(data["out"]), params)
-
 
 def circuit_from_json(text: str) -> Circuit:
     """Parse a JSON element list; input modes are those consumed before produced."""
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("circuit file must contain a JSON list of elements")
-    elements = tuple(element_from_json_dict(item) for item in data)
+    elements: list[Element] = []
     produced: set[str] = set()
     inputs: list[str] = []
-    for element in elements:
+    for item in data:
+        ok = isinstance(item, dict) and all(isinstance(item.get(k), list) for k in ("in", "out"))
+        if not ok:
+            raise ValueError(f"element must be an object with 'in' and 'out' lists, got {item!r}")
+        params = item.get("params", {})
+        element = Element(item.get("kind"), tuple(item["in"]), tuple(item["out"]), params)
         for mode in element.inputs:
             if mode not in produced and mode not in inputs:
                 inputs.append(mode)
         produced.update(element.outputs)
+        elements.append(element)
     return Circuit(elements, tuple(inputs))
 
 

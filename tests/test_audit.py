@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nosignal import audit
 from nosignal.audit import (
     MAX_PHASES,
     MAX_TRIALS,
@@ -37,7 +38,14 @@ from nosignal.measurement import (
     window_projector,
 )
 from nosignal.modes import State, make_state
-from nosignal.optics import Circuit, apply, custom_element
+from nosignal.optics import (
+    Circuit,
+    apply,
+    beam_splitter,
+    custom_element,
+    hypothetical_canceller,
+    phase_shifter,
+)
 from nosignal.wavepacket import DetectorWindow, default_calibration, default_grid
 
 FROZEN_P_IN_CONSTRUCTIVE = 0.7365556411410185
@@ -313,6 +321,48 @@ class TestAuditReport:
         report = no_signalling_audit(config)
         assert report.verdict == "pass"
         assert report.max_deviation <= 1e-12
+
+    def test_renormalising_after_the_canceller_fails_the_audit(self, monkeypatch):
+        # The positive control: the step the scheme needs and quantum mechanics
+        # forbids, run through the audit's own rows.  The sender branch meets the
+        # non-isometric canceller, and the global state is renormalised after it.
+        def cancel_and_renormalise(state, phi, config):
+            canceller = Circuit(
+                (
+                    beam_splitter(("in", "vac"), ("u", "l")),
+                    phase_shifter("l", phi),
+                    hypothetical_canceller(("u", "l"), "merged"),
+                ),
+                input_modes=("in", "vac"),
+            )
+            out = apply(canceller, state.sender_state, allow_nonphysical=True)
+            merged = out.amplitude("merged")
+            # At phi = pi the merged amplitude is about 1e-16 in doubles, not 0
+            # (the splitter's and e^{i pi}'s rounding), so the branch keeps a phase
+            # and both divisions below stay finite; its weight is then ~1e-32 and
+            # the receiver reads 1.0.
+            sender = state.sender_amplitude * abs(merged)
+            total = math.hypot(abs(state.receiver_amplitude), abs(sender))
+            return CompositeState(
+                state.receiver_amplitude / total,
+                sender / total,
+                make_state([("merged", merged / abs(merged))]),
+            )
+
+        merged_only = ProjectorSet((mode_projector("merged", ("merged",), "merged"),))
+        monkeypatch.setattr(audit, "evolve_sender", cancel_and_renormalise)
+        monkeypatch.setattr(audit, "sender_projectors", lambda config: merged_only)
+        phases = (0.0, math.pi / 2, math.pi)
+        report = no_signalling_audit(
+            _config(VARIANT_MACH_ZEHNDER, phases=phases, trials=20000, seed=3)
+        )
+        assert report.verdict == "fail"
+        for phi, row in zip(phases, report.rows):
+            # The canceller leaves the sender branch (1 + e^{i phi})/2 of its
+            # amplitude, a weight cos^2(phi/2).  Renormalising branch weights 1/2
+            # and cos^2(phi/2)/2 gives the receiver 1/(1 + cos^2(phi/2)).
+            expected = 1.0 / (1.0 + math.cos(phi / 2) ** 2)
+            assert row.receiver_analytic == pytest.approx(expected, abs=1e-12)
 
     def test_density_audit_passes(self, density_config):
         report = no_signalling_audit(density_config)

@@ -369,23 +369,6 @@ def test_calibrate_off_centre_reaches_the_centred_contrast(tmp_path, r_min, r_ma
     assert contrast == pytest.approx(wavepacket.default_calibration().contrast, abs=1e-3)
 
 
-@pytest.mark.parametrize(
-    "argv, config",
-    [(("--halfwidth", "100"), None), ((), {"window_halfwidth_over_sigma": 100})],
-    ids=["flag", "config"],
-)
-def test_a_window_wider_than_the_grid_ends_in_an_error_line(tmp_path, argv, config):
-    extra = []
-    if config is not None:
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        extra = ["--config", str(path)]
-    result = run_cli("density", "--verify", *argv, *extra, "--out", str(tmp_path / "out"))
-    assert result.returncode == 1
-    assert len(result.stderr.splitlines()) == 1
-    assert result.stderr.startswith("error:") and "reaches outside the grid" in result.stderr
-
-
 class TestValidateCommand:
     def test_bundled_splitter_passes(self):
         result = run_cli("validate", "--circuit", str(bundled_circuit_path("shiekh")))
@@ -492,6 +475,10 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
         (("density", "--halfwidth", "0"), None, "halfwidth"),
         (("density", "--halfwidth", "nan"), None, "halfwidth"),
         (("density",), {"window_halfwidth_over_sigma": -1}, "halfwidth"),
+        # a window wider than the grid, refused before the CSV is written
+        (("density", "--verify", "--halfwidth", "100"), None, "reaches outside the grid"),
+        (("density", "--verify"), {"window_halfwidth_over_sigma": 100},
+         "reaches outside the grid"),
         (("density", "--r-min=-1e308", "--r-max", "1e308"), None, "finite"),
         (("audit", "--variant", "mach-zehnder", "--trials", "1000000000000"), None, "trials"),
         (("audit",), {"variant": "mach-zehnder", "trials": MAX_TRIALS + 1}, "trials"),
@@ -530,7 +517,9 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
         "density-separation-negative", "density-phi-nan", "density-r-min-infinite",
         "audit-config-trials-fractional", "audit-config-trials-bool", "density-config-sigma-bool",
         "density-halfwidth-inf", "density-halfwidth-negative", "density-halfwidth-zero",
-        "density-halfwidth-nan", "density-config-halfwidth-negative", "density-span-overflows",
+        "density-halfwidth-nan", "density-config-halfwidth-negative",
+        "density-verify-window-past-grid", "density-verify-config-window-past-grid",
+        "density-span-overflows",
         "audit-trials-past-cap", "audit-config-trials-past-cap", "audit-phi-sweep-past-cap",
         "density-packet-unresolved", "density-json-packet-unresolved",
         "calibrate-packet-unresolved", "audit-config-sigma-null", "density-config-sigma-null",
@@ -709,6 +698,16 @@ def test_a_failed_rename_keeps_the_old_report_and_no_temp_file(tmp_path, monkeyp
         cli._write_output(str(target), '{"new": true}\n')
     assert target.read_bytes() == b'{"old": true}\n'
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_out_into_a_missing_directory_names_the_given_path(tmp_path):
+    out = str(tmp_path / "missing" / "report.json")
+    argv = ("audit", "--variant", "mach-zehnder", "--phi-sweep", "2", "--trials", "10")
+    first, second = (run_cli(*argv, "--out", out) for _ in range(2))
+    assert first.returncode == second.returncode == 1
+    assert len(first.stderr.splitlines()) == 1 and first.stderr.startswith("error:")
+    assert repr(out) in first.stderr  # not the random name of a temp file
+    assert second.stderr == first.stderr
 
 
 def test_out_through_a_link_writes_the_file_it_points_to(tmp_path):

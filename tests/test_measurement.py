@@ -16,7 +16,6 @@ from nosignal.measurement import (
     ZeroNormReductionError,
     _born,
     count_outcomes,
-    measure,
     mode_projector,
     outcome_records,
     pair_partition,
@@ -478,7 +477,7 @@ class TestProjectorSets:
 
 
 def _one_draw_at_each_of_the_first_40_trials(test):
-    """Add the examples ``n = 1``, ``start = i`` for ``i < 40``: a draw a trial, as ``measure``."""
+    """Add the examples ``n = 1``, ``start = i`` for ``i < 40``: one trial's draw at a time."""
     for i in range(40):
         test = example(seed=99, stream=0, start=i, n=1)(test)
     return test
@@ -493,7 +492,7 @@ class TestSampling:
     )
     def test_random_access_matches_the_batch(self, seed, stream, trial):
         # the jump to draw i is Philox block arithmetic: four 64-bit words a block
-        single = trial_uniforms(seed, 1, stream, trial)  # the one draw measure reads
+        single = trial_uniforms(seed, 1, stream, trial)  # trial's draw alone
         assert single.tolist() == [trial_uniforms(seed, trial + 1, stream)[trial]]
 
     @settings(derandomize=True, max_examples=200, deadline=None)
@@ -572,30 +571,39 @@ class TestSampling:
         with pytest.raises(ValueError, match="fewer than n"):
             trial_uniforms(1, 5, out=np.empty(4))
 
-    def test_measure_is_deterministic(self, states, calibration, grid):
+    def test_one_shot_is_deterministic(self, states, calibration, grid):
         pset = pair_partition(calibration.window, grid)
         psi = states["constructive"]
-        first = measure(psi, pset, seed=5)
-        again = measure(psi, pset, seed=5)
-        assert first[0] == again[0]
-        np.testing.assert_array_equal(first[1].amplitudes, again[1].amplitudes)
+        first = sample_outcomes(psi, pset, seed=5, n_trials=1)
+        assert first == sample_outcomes(psi, pset, seed=5, n_trials=1)
+        assert sorted(first.values()) == [0, 1]
+
+    def test_batched_counts_replay_draw_by_draw(self, states, calibration, grid):
+        # trial i keeps draw i: each trial's own draw, read alone, tallies the batch
+        pset = three_counter_partition(calibration.window, grid)
+        psi = states["destructive"]
+        probs = pset.probabilities(psi)
+        counts = sample_outcomes(psi, pset, seed=7, n_trials=500)
+        replayed = [0] * len(pset.labels)
+        for trial in range(500):
+            one = _searchsorted_counts(probs, trial_uniforms(7, 1, 0, trial))
+            replayed = [a + b for a, b in zip(replayed, one)]
+        assert counts == dict(zip(pset.labels, replayed))
+
+    def test_one_shot_is_the_first_draw_of_the_batch(self, states, calibration, grid):
+        pset = three_counter_partition(calibration.window, grid)
+        psi = states["destructive"]
+        probs = pset.probabilities(psi)
+        for seed in range(10):
+            shot = sample_outcomes(psi, pset, seed=seed, n_trials=1)
+            first = _searchsorted_counts(probs, trial_uniforms(seed, 1))
+            assert shot == dict(zip(pset.labels, first))
 
     def test_certain_outcome(self, grid):
         psi = gaussian(grid, 0.0, 1.0)
         pset = pair_partition(DetectorWindow(-6.0, 6.0), grid)
         for seed in range(25):
-            label, _ = measure(psi, pset, seed=seed)
-            assert label == "in"
-
-    def test_measure_matches_batched_sampling(self, states, calibration, grid):
-        pset = three_counter_partition(calibration.window, grid)
-        psi = states["destructive"]
-        counts = sample_outcomes(psi, pset, seed=7, n_trials=500)
-        replayed = {label: 0 for label in pset.labels}
-        for trial in range(500):
-            label, _ = measure(psi, pset, seed=7, trial=trial)
-            replayed[label] += 1
-        assert counts == replayed
+            assert sample_outcomes(psi, pset, seed=seed, n_trials=1) == {"in": 1, "out": 0}
 
     def test_frequencies_converge_binomially(self, states, calibration, grid):
         pset = pair_partition(calibration.window, grid)
@@ -611,7 +619,7 @@ class TestSampling:
         pset = pair_partition(calibration.window, grid)
         psi = states["constructive"]
         n = 2000
-        hits = sum(measure(psi, pset, seed=seed)[0] == "in" for seed in range(n))
+        hits = sum(sample_outcomes(psi, pset, seed=seed, n_trials=1)["in"] for seed in range(n))
         p = probability(psi, window_projector("in", grid, calibration.window))
         band = 3 * math.sqrt(p * (1 - p) / n)
         assert hits / n == pytest.approx(p, abs=band)
@@ -728,10 +736,6 @@ class TestCountOutcomes:
             for k in (0, 1, 2):  # first, middle, last
                 (count,) = count_outcomes(probs, 21, n, stream, outcome=k)
                 assert type(count) is int and count == expected[k]
-            # counts from any start add up: trial i keeps draw i
-            head = count_outcomes(probs, 21, n // 2, stream)
-            tail = count_outcomes(probs, 21, n - n // 2, stream, n // 2)
-            assert [a + b for a, b in zip(head, tail)] == expected
 
     @pytest.mark.parametrize(
         "probs",

@@ -10,12 +10,10 @@ from nosignal.optics import (
     Circuit,
     Element,
     NonPhysicalCircuitError,
-    PHASE_ON,
     WiringError,
     apply,
     beam_splitter,
     bundled_circuit_path,
-    canceller_circuit,
     circuit_from_json,
     circuit_matrix,
     custom_element,
@@ -95,12 +93,12 @@ class TestIsIsometry:
 
 class TestValidateCircuit:
     def test_splitter_device_is_physical(self):
-        report = validate_circuit(splitter_circuit(PHASE_ON))
+        report = validate_circuit(splitter_circuit(math.pi))
         assert report["physical"]
         assert report["failures"] == []
 
     def test_canceller_circuit_fails_with_half_deviation(self):
-        report = validate_circuit(canceller_circuit())
+        report = validate_circuit(load_bundled_circuit("canceller"))
         assert not report["physical"]
         assert len(report["failures"]) == 1
         failure = report["failures"][0]
@@ -132,7 +130,7 @@ class TestValidateCircuit:
             validate_circuit(circuit)
 
     def test_report_json_schema(self):
-        data = validate_circuit(canceller_circuit())
+        data = validate_circuit(load_bundled_circuit("canceller"))
         assert data["physical"] is False
         assert list(data) == ["physical", "failures"]
         assert list(data["failures"][0]) == ["element_index", "deviation", "reason"]
@@ -155,11 +153,11 @@ class TestApply:
 
     def test_nonphysical_circuit_refused_without_opt_in(self):
         with pytest.raises(NonPhysicalCircuitError, match="not an isometry"):
-            apply(canceller_circuit(), make_state([("in", 1.0)]))
+            apply(load_bundled_circuit("canceller"), make_state([("in", 1.0)]))
 
     def test_opted_in_canceller_vanishes_the_state(self):
         out = apply(
-            canceller_circuit(PHASE_ON), make_state([("in", 1.0)]),
+            load_bundled_circuit("canceller"), make_state([("in", 1.0)]),
             allow_nonphysical=True,
         )
         assert out.norm <= 1e-12
@@ -315,9 +313,40 @@ class TestCircuitJson:
         with pytest.raises(ValueError):
             circuit_from_json(json.dumps({"kind": "mirror"}))
 
+    @pytest.mark.parametrize(
+        "item",
+        [1, {"kind": "mirror", "out": ["b"]}, {"kind": "mirror", "in": "a", "out": ["b"]}],
+        ids=["not-an-object", "no-in", "in-not-a-list"],
+    )
+    def test_a_malformed_element_is_named_in_the_error(self, item):
+        good = {"kind": "mirror", "in": ["a"], "out": ["b"]}
+        with pytest.raises(ValueError, match="element must be an object with 'in' and 'out'"):
+            circuit_from_json(json.dumps([good, item]))
+
     def test_bundled_splitter_device_is_physical(self):
-        report = validate_circuit(load_bundled_circuit("shiekh"))
-        assert report["physical"]
+        bundled = load_bundled_circuit("shiekh")
+        assert validate_circuit(bundled)["physical"]
+        # the file and its builder describe one device, down to the matrix bits
+        built = splitter_circuit(0.0)
+        assert bundled == built
+        assert [e.matrix.tobytes() for e in bundled.elements] == [
+            e.matrix.tobytes() for e in built.elements
+        ]
+
+    def test_bundled_canceller_is_splitter_shifter_canceller(self):
+        bundled = load_bundled_circuit("canceller")
+        built = Circuit(
+            (
+                beam_splitter(("in", "vac"), ("u", "l")),
+                phase_shifter("l", math.pi),
+                hypothetical_canceller(("u", "l"), "merged", 0.0),
+            ),
+            input_modes=("in", "vac"),
+        )
+        assert bundled == built
+        assert [e.matrix.tobytes() for e in bundled.elements] == [
+            e.matrix.tobytes() for e in built.elements
+        ]
 
     def test_bundled_canceller_fails(self):
         report = validate_circuit(load_bundled_circuit("canceller"))

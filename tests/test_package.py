@@ -16,9 +16,8 @@ from nosignal import measurement
 EXPORTS = {
     "modes": ["DuplicateModeError", "Grid", "State", "combine", "inner", "make_state"],
     "optics": [
-        "Circuit", "Element", "NonPhysicalCircuitError", "PHASE_OFF", "PHASE_ON",
-        "WiringError", "apply", "beam_splitter", "canceller_circuit", "circuit_from_json",
-        "circuit_matrix", "custom_element",
+        "Circuit", "Element", "NonPhysicalCircuitError", "WiringError", "apply",
+        "beam_splitter", "circuit_from_json", "circuit_matrix", "custom_element",
         "deflector", "hypothetical_canceller", "interferometer_output", "is_isometry",
         "load_bundled_circuit", "mach_zehnder_circuit", "mirror", "mz_output",
         "phase_shifter", "splitter_circuit", "validate_circuit",
@@ -31,7 +30,7 @@ EXPORTS = {
     ],
     "measurement": [
         "IncompleteProjectorSetError", "OutcomeRecord", "Projector", "ProjectorSet",
-        "ZeroNormReductionError", "measure", "mode_projector", "outcome_records",
+        "ZeroNormReductionError", "mode_projector", "outcome_records",
         "pair_partition", "probability", "reduce", "sample_outcomes",
         "three_counter_partition", "window_projector",
     ],
@@ -46,8 +45,8 @@ NAMES = sorted(name for names in EXPORTS.values() for name in names)
 OWNER = {name: layer for layer, names in EXPORTS.items() for name in names}
 
 
-def test_all_lists_the_sixty_seven_names():
-    assert len(NAMES) == 67
+def test_all_lists_every_exported_name():
+    assert len(NAMES) == 63
     assert sorted(nosignal.__all__) == NAMES
 
 
