@@ -12,7 +12,8 @@ The audit makes that quantitative three ways for each phase:
   unitary, so the receiver detection probability is exactly 1/2;
 * through collapse: summing over the sender's measurement outcomes
   (law of total probability) returns the same receiver probability, for
-  any complete sender-side detector partition;
+  any complete sender-side detector partition; a sender click adds
+  exactly 0, because its collapse zeroes the receiver amplitude;
 * empirically: seeded Born-rule sampling of the global outcome partition
   reproduces the 1/2 within binomial error.
 
@@ -226,16 +227,17 @@ def receiver_probability_after_sender_measurement(
     """Receiver probability averaged over the sender's measurement outcomes.
 
     Law of total probability over the global partition; collapse included.
-    Equal to :func:`receiver_probability` for every complete sender
-    partition -- whether the sender measures at all is invisible here.
+    A sender click collapses the particle into the sender branch, which
+    zeroes the receiver amplitude: its term is ``p * 0.0``, exactly 0, so
+    only the receiver outcome is collapsed and weighed.  Equal to
+    :func:`receiver_probability` for every complete sender partition --
+    whether the sender measures at all is invisible here.
     """
     labels, probs = composite_outcomes(state, sender_set)
-    total = 0.0
-    for label, p in zip(labels, probs):
-        if p < REDUCTION_EPS:  # cannot condition on it
-            continue
-        total += p * receiver_probability(reduce_composite(state, label, sender_set))
-    return total
+    p = probs[labels.index(RECEIVER_LABEL)]
+    if p < REDUCTION_EPS:  # cannot condition on it
+        return 0.0
+    return p * receiver_probability(reduce_composite(state, RECEIVER_LABEL, sender_set))
 
 
 @dataclass(frozen=True)

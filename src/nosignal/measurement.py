@@ -24,8 +24,8 @@ still takes the outcome draw ``i`` selects.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-import numbers
 import operator
 import threading
 from dataclasses import dataclass
@@ -251,6 +251,29 @@ _ZERO_WORDS = np.zeros(4, dtype=np.uint64)
 _ZERO_WORDS.setflags(write=False)
 
 
+def _as_int(value) -> int | None:
+    """``value`` as a Python int, or ``None`` for a bool or a non-integer.
+
+    Numpy integers convert through ``__index__``; a plain int returns at once.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; a bool or a non-integer raises ``ValueError`` naming it."""
+    number = _as_int(value)
+    if number is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return number
+
+
 def _philox(seed: int, stream: int) -> np.random.Generator:
     """This thread's generator, at counter 0 of the key ``(stream << 64) | seed``.
 
@@ -259,6 +282,7 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
     The setter reads the words one by one, so the key goes in as a tuple of
     ints and the re-key makes no array.
     """
+    seed, stream = _integer("seed", seed), _integer("stream", stream)
     if not (0 <= seed < MAX_SEED):
         raise ValueError("seed must be a non-negative 63-bit integer")
     if not (0 <= stream < 2**63):
@@ -291,11 +315,13 @@ def trial_uniforms(
     float64 array ``out`` of at least ``n`` entries, the draws fill
     ``out[:n]`` in place and that view is returned; the bits are the same.
     """
-    start = operator.index(start)
+    start = _integer("start", start)
     if start < 0:
         raise ValueError(f"start must be non-negative, got {start}")
-    if not (isinstance(n, numbers.Integral) and n >= 0):
+    count = _as_int(n)
+    if count is None or count < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    n = count
     if out is not None and len(out) < n:
         raise ValueError(f"out holds {len(out)} draws, fewer than n = {n}")
     gen = _philox(seed, stream)
@@ -323,23 +349,34 @@ def count_outcomes(
     ``CHUNK`` at a time into this thread's buffers.
     With ``outcome=k`` only that outcome's bounds are compared: ``[count_k]``.
 
-    Raises ``ValueError`` unless there is a probability and each is finite
-    and non-negative (a NaN compares false with every draw), for an ``n``
-    outside ``[0, MAX_TRIALS]`` and for an ``outcome`` out of range.
+    Raises ``ValueError`` unless ``probs`` is 1-D with at least one entry,
+    each finite and non-negative (a NaN compares false with every draw); for
+    an ``n`` outside ``[0, MAX_TRIALS]``; for an ``outcome`` out of range;
+    and, naming the argument, for a ``seed``, ``stream``, ``n`` or
+    ``outcome`` that is a bool or not an integer.  Numpy integers are
+    accepted, and the counts are Python ints.
     """
     probs = np.asarray(probs, dtype=float)
-    if not (probs.size and np.all(np.isfinite(probs) & (probs >= 0.0))):
+    if probs.ndim != 1:
+        raise ValueError(f"probs must be a 1-D sequence of probabilities, got shape {probs.shape}")
+    values = probs.tolist()
+    # a NaN fails both comparisons and an infinity the second
+    if not (values and all(0.0 <= p < math.inf for p in values)):
         raise ValueError(f"outcome probabilities must be finite and >= 0, got {probs}")
-    if not (isinstance(n, numbers.Integral) and 0 <= n <= MAX_TRIALS):
+    trials = _as_int(n)
+    if trials is None or not 0 <= trials <= MAX_TRIALS:
         raise ValueError(f"n must be an integer in [0, {MAX_TRIALS}], got {n!r}")
-    k = len(probs)
-    first, last = (0, k) if outcome is None else (outcome, outcome + 1)
+    n, k = trials, len(values)
+    first = 0 if outcome is None else _integer("outcome", outcome)
+    last = k if outcome is None else first + 1
     if not 0 <= first < last <= k:
         raise ValueError(f"outcome {outcome!r} is not one of the {k} outcomes")
-    bounds = np.cumsum(probs)[max(first, 1) - 1 : min(last, k - 1)].tolist()
-    if not hasattr(_per_thread, "buffers"):
-        _per_thread.buffers = np.empty(CHUNK), np.empty(CHUNK, dtype=bool)
-    draws, flags = _per_thread.buffers
+    # accumulate adds in index order, as np.cumsum does: the same bits
+    bounds = list(itertools.accumulate(values))[max(first, 1) - 1 : min(last, k - 1)]
+    try:
+        draws, flags = _per_thread.buffers
+    except AttributeError:
+        draws, flags = _per_thread.buffers = np.empty(CHUNK), np.empty(CHUNK, dtype=bool)
     below = [0] * len(bounds)
     for at in range(0, n, CHUNK) or (0,):  # n = 0 still checks the key
         size = min(CHUNK, n - at)

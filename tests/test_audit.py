@@ -34,6 +34,7 @@ from nosignal.measurement import (
     count_outcomes,
     mode_projector,
     pair_partition,
+    reduce,
     three_counter_partition,
     window_projector,
 )
@@ -46,6 +47,7 @@ from nosignal.optics import (
     hypothetical_canceller,
     phase_shifter,
 )
+from nosignal.tolerances import REDUCTION_EPS
 from nosignal.wavepacket import DetectorWindow, default_calibration, default_grid
 
 FROZEN_P_IN_CONSTRUCTIVE = 0.7365556411410185
@@ -182,6 +184,47 @@ class TestReceiverProbability:
             assert send_a == pytest.approx(send_b, abs=1e-6)
 
 
+@st.composite
+def _haar_measurements(draw):
+    """A Haar-random k x k unitary wired as one custom element, a random normalized
+    input, and its outputs grouped into a random complete partition:
+    ``(state, partition)``, with the equal-weight receiver branch."""
+    k = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gauss = rng.standard_normal((2, k, k)) + 1j * rng.standard_normal((2, k, k))
+    q, r = np.linalg.qr(gauss[0])
+    unitary = q * (np.diag(r) / np.abs(np.diag(r)))
+    psi = gauss[1][:, 0] / np.linalg.norm(gauss[1][:, 0])
+    inputs = tuple(f"i{j}" for j in range(k))
+    outputs = tuple(f"o{j}" for j in range(k))
+    circuit = Circuit((custom_element(unitary, inputs, outputs),), input_modes=inputs)
+    branch = apply(circuit, State(inputs, psi))
+    owner = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    order = draw(st.permutations(sorted(set(owner))))
+    pset = ProjectorSet(
+        tuple(
+            mode_projector(f"g{g}", outputs, *(m for m, o in zip(outputs, owner) if o == g))
+            for g in order
+        )
+    )
+    return CompositeState(1 / math.sqrt(2), 1 / math.sqrt(2), branch), pset
+
+
+def _collapse_every_outcome(state, sender_set):
+    """Reference: the law of total probability with every outcome collapsed."""
+    labels, probs = composite_outcomes(state, sender_set)
+    total = 0.0
+    for label, p in zip(labels, probs):
+        if p < REDUCTION_EPS:  # cannot condition on it
+            continue
+        total += p * receiver_probability(reduce_composite(state, label, sender_set))
+    return total
+
+
+def _same_bits(value, reference) -> bool:
+    return value == reference and float(value).hex() == float(reference).hex()
+
+
 class TestSenderMeasurement:
     def test_nan_receiver_amplitude_is_not_normalized(self):
         config = _config(VARIANT_MACH_ZEHNDER)
@@ -191,31 +234,105 @@ class TestSenderMeasurement:
                 CompositeState(receiver, evolved.sender_amplitude, evolved.sender_state)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_random_unitary_and_partition_leave_receiver_at_half(self, data):
-        # a Haar-random k x k unitary wired as one custom element, a random
-        # normalized input, and its outputs grouped into a random complete partition
-        k = data.draw(st.integers(2, 5))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        gauss = rng.standard_normal((2, k, k)) + 1j * rng.standard_normal((2, k, k))
-        q, r = np.linalg.qr(gauss[0])
-        unitary = q * (np.diag(r) / np.abs(np.diag(r)))
-        psi = gauss[1][:, 0] / np.linalg.norm(gauss[1][:, 0])
-        inputs = tuple(f"i{j}" for j in range(k))
-        outputs = tuple(f"o{j}" for j in range(k))
-        circuit = Circuit((custom_element(unitary, inputs, outputs),), input_modes=inputs)
-        branch = apply(circuit, State(inputs, psi))
-        owner = data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
-        order = data.draw(st.permutations(sorted(set(owner))))
-        pset = ProjectorSet(
-            tuple(
-                mode_projector(f"g{g}", outputs, *(m for m, o in zip(outputs, owner) if o == g))
-                for g in order
-            )
-        )
-        state = CompositeState(1 / math.sqrt(2), 1 / math.sqrt(2), branch)
-        after = receiver_probability_after_sender_measurement(state, pset)
+    @given(measured=_haar_measurements())
+    def test_random_unitary_and_partition_leave_receiver_at_half(self, measured):
+        after = receiver_probability_after_sender_measurement(*measured)
         assert after == pytest.approx(0.5, abs=1e-12)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(measured=_haar_measurements())
+    def test_random_partitions_equal_collapsing_every_outcome(self, measured):
+        after = receiver_probability_after_sender_measurement(*measured)
+        assert _same_bits(after, _collapse_every_outcome(*measured))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_sweep_equals_collapsing_every_outcome(self, variant):
+        config = _config(variant, phases=default_phase_sweep(64))
+        partitions = [sender_projectors(config)]
+        if variant == VARIANT_DENSITY:
+            partitions.append(three_counter_partition(config.window, config.grid))
+        for pset in partitions:
+            for phi in config.phases:
+                state = evolve_sender(build_initial(config), phi, config)
+                after = receiver_probability_after_sender_measurement(state, pset)
+                assert _same_bits(after, _collapse_every_outcome(state, pset)), phi
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_outcome_and_zero_weight_branches_equal_collapsing_every_outcome(
+        self, variant
+    ):
+        config = _config(variant)
+        state = evolve_sender(build_initial(config), 0.3, config)
+        pset = sender_projectors(config)
+        if variant == VARIANT_DENSITY:
+            grid = config.grid
+            whole = window_projector("all", grid, DetectorWindow(grid.r_min, grid.r_max))
+        else:
+            whole = mode_projector("all", ("H", "V"), "H", "V")
+        clicked = reduce_composite(state, pset.labels[0], pset)  # receiver weight 0
+        collapsed = reduce_composite(state, "receiver", pset)  # sender weight 0
+        for case, partition, expected in (
+            (state, ProjectorSet((whole,)), None),
+            (clicked, pset, 0.0),
+            (collapsed, pset, 1.0),
+        ):
+            after = receiver_probability_after_sender_measurement(case, partition)
+            assert _same_bits(after, _collapse_every_outcome(case, partition))
+            assert expected is None or after == expected
+
+    def test_bad_inputs_raise_as_collapsing_every_outcome_does(self, mz_config):
+        pset = sender_projectors(mz_config)
+        unnormalised = CompositeState(
+            1 / math.sqrt(2), 1 / math.sqrt(2), State(("H", "V"), np.array([0.6, 0.6]))
+        )
+        clash = ProjectorSet(
+            (mode_projector("H", ("H", "V"), "H"), mode_projector("receiver", ("H", "V"), "V"))
+        )
+        evolved = evolve_sender(build_initial(mz_config), 0.0, mz_config)
+        for state, partition, match in (
+            (unnormalised, pset, "not normalized"),
+            (evolved, clash, "may not use the label"),
+        ):
+            for function in (receiver_probability_after_sender_measurement, _collapse_every_outcome):
+                with pytest.raises(ValueError, match=match):
+                    function(state, partition)
+
+    def test_no_sender_outcome_is_collapsed(self, monkeypatch, density_config):
+        calls = []
+
+        def counted(state, projector):
+            calls.append(projector.label)
+            return reduce(state, projector)
+
+        monkeypatch.setattr(audit, "reduce", counted)
+        partitions = (
+            sender_projectors(density_config),
+            three_counter_partition(density_config.window, density_config.grid),
+        )
+        state = evolve_sender(build_initial(density_config), 1.1, density_config)
+        for pset in partitions:
+            receiver_probability_after_sender_measurement(state, pset)
+        assert calls == []
+        for pset in partitions:  # the counter sees the reference's collapses
+            _collapse_every_outcome(state, pset)
+        assert calls == ["in", "out", "left", "in", "right"]
+
+    def test_a_sender_outcome_lifted_over_the_floor_by_its_weight_is_not_collapsed(self):
+        # Within the norm gate the sender weight can exceed 1.  A sender outcome
+        # whose global probability clears REDUCTION_EPS only through that weight
+        # cannot be collapsed inside the branch; it adds exactly 0 all the same.
+        weight, floor = 1.0 + 5e-9, REDUCTION_EPS * (1.0 - 1e-9)
+        branch = State(("H", "V"), np.sqrt([1.0 - floor, floor]))
+        state = CompositeState(1e-5, math.sqrt(weight), branch)
+        pset = ProjectorSet(
+            (mode_projector("H", ("H", "V"), "H"), mode_projector("V", ("H", "V"), "V"))
+        )
+        branch_v = pset.probabilities(branch)[1]
+        assert branch_v < REDUCTION_EPS <= composite_outcomes(state, pset)[1][1]
+        with pytest.raises(ZeroNormReductionError):
+            _collapse_every_outcome(state, pset)
+        after = receiver_probability_after_sender_measurement(state, pset)
+        assert after == receiver_probability(state) * 1.0
 
     def test_pair_partition_leaves_receiver_at_half(self, density_config):
         evolved = evolve_sender(build_initial(density_config), 0.0, density_config)

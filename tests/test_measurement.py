@@ -545,15 +545,31 @@ class TestSampling:
         trial_uniforms(seed ^ 1, 3, stream ^ 1, 5)  # leave this thread's generator mid-block
         assert trial_uniforms(seed, n, stream, start).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("start", [-1, 2.0])
+    @pytest.mark.parametrize("start", [-1, 2.0, True])
     def test_a_start_must_be_a_non_negative_integer(self, start):
-        with pytest.raises((ValueError, TypeError)):
+        with pytest.raises(ValueError, match="start must be"):
             trial_uniforms(1, 4, 0, start)
 
-    @pytest.mark.parametrize("n", [-1, 2.5, "3", None])
+    @pytest.mark.parametrize("n", [-1, 2.5, "3", None, True, np.True_])
     def test_a_count_must_be_a_non_negative_integer(self, n):
         with pytest.raises(ValueError, match="n must be a non-negative integer"):
             trial_uniforms(1, n)
+
+    @pytest.mark.parametrize(
+        "seed, stream, name",
+        [(3.5, 0, "seed"), (True, 0, "seed"), (np.True_, 0, "seed"), ("3", 0, "seed"),
+         (3, 1.5, "stream"), (3, False, "stream")],
+        ids=["float-seed", "bool-seed", "numpy-bool-seed", "str-seed", "float-stream", "bool-stream"],
+    )
+    def test_a_key_that_is_not_an_integer_is_refused(self, seed, stream, name):
+        # 3.5 once ran seed 3 and 1.5 stream 1; a bool ran as 0 or 1
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            trial_uniforms(seed, 4, stream)
+
+    def test_numpy_integers_draw_the_same_uniforms(self):
+        expected = trial_uniforms(12345, 9, 7, 5)
+        drawn = trial_uniforms(np.int64(12345), np.int8(9), np.uint64(7), np.int32(5))
+        assert drawn.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("start", [0, 1, 3, 4, 5, 65537])
     @pytest.mark.parametrize("seed, stream", [(0, 0), (12345, 7), (2**63 - 1, 2**63 - 1)])
@@ -657,6 +673,12 @@ class TestSampling:
         assert sum(counts.values()) == 2**22
         assert peak < 2 * 2**20
 
+    @pytest.mark.parametrize("n_trials", [True, 2.0])
+    def test_a_trial_count_that_is_not_an_integer_is_refused(self, n_trials):
+        state, pset = self._halves()
+        with pytest.raises(ValueError, match=r"n must be an integer in \[0, 16777216\]"):
+            sample_outcomes(state, pset, seed=3, n_trials=n_trials)
+
     def test_past_the_cap_refused_before_any_draw(self, monkeypatch):
         def no_draws(*args, **kwargs):
             raise AssertionError("uniforms were drawn for a refused count")
@@ -674,9 +696,9 @@ def _searchsorted_counts(probs, draws) -> list[int]:
     return np.bincount(indices, minlength=len(cdf)).tolist()
 
 
-def _random_probabilities(rng) -> np.ndarray:
-    """1-5 outcomes, some impossible, summing to 1, 1 - 1e-12 or 1 + 1e-12."""
-    k = int(rng.integers(1, 6))
+def _random_probabilities(rng, most: int = 5) -> np.ndarray:
+    """1 to ``most`` outcomes, some impossible, summing to 1, 1 - 1e-12 or 1 + 1e-12."""
+    k = int(rng.integers(1, most + 1))
     probs = rng.random(k) * (rng.random(k) > 0.3)
     if not probs.any():
         probs[rng.integers(k)] = 1.0
@@ -696,10 +718,13 @@ def _feed(monkeypatch, draws) -> int:
 
 
 class TestCountOutcomes:
-    def test_matches_searchsorted_on_cdf_edges(self, monkeypatch):
+    # Draws on and next to each np.cumsum entry: a bound one ulp off np.cumsum's
+    # bits moves a count, so long vectors check that the bounds keep those bits.
+    @pytest.mark.parametrize("most, rounds", [(5, 2000), (300, 100)], ids=["short", "long"])
+    def test_matches_searchsorted_on_cdf_edges(self, monkeypatch, most, rounds):
         rng = np.random.default_rng(20240805)
-        for _ in range(2000):
-            probs = _random_probabilities(rng)
+        for _ in range(rounds):
+            probs = _random_probabilities(rng, most)
             cdf = np.cumsum(probs)
             edges = np.concatenate(
                 [cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf)]
@@ -761,3 +786,43 @@ class TestCountOutcomes:
     def test_an_outcome_that_is_not_one_is_refused(self, outcome):
         with pytest.raises(ValueError, match="is not one of the 3 outcomes"):
             count_outcomes([0.25, 0.0, 0.75], 0, 2, outcome=outcome)
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            # the messages the checks gave before they took types and shapes
+            (([math.nan, 1.0], 0, 2), {}, "outcome probabilities must be finite and >= 0, got [nan  1.]"),
+            (([math.inf, 0.0], 0, 2), {}, "outcome probabilities must be finite and >= 0, got [inf  0.]"),
+            (([-0.25, 1.25], 0, 2), {}, "outcome probabilities must be finite and >= 0, got [-0.25  1.25]"),
+            (([], 0, 2), {}, "outcome probabilities must be finite and >= 0, got []"),
+            (([0.5, 0.5], 0, -1), {}, "n must be an integer in [0, 16777216], got -1"),
+            (([0.5, 0.5], 0, MAX_TRIALS + 1), {}, "n must be an integer in [0, 16777216], got 16777217"),
+            (([0.5, 0.5], 0, 2.5), {}, "n must be an integer in [0, 16777216], got 2.5"),
+            (([0.25, 0.0, 0.75], 0, 2), {"outcome": -1}, "outcome -1 is not one of the 3 outcomes"),
+            (([0.25, 0.0, 0.75], 0, 2), {"outcome": 3}, "outcome 3 is not one of the 3 outcomes"),
+            (([0.5, 0.5], -1, 2), {}, "seed must be a non-negative 63-bit integer"),
+            (([0.5, 0.5], 0, 2, -1), {}, "stream index out of range"),
+            # values the checks once let through: a bool or a fraction ran as an
+            # integer, a nested list counted as one outcome, a scalar hit len()
+            (([0.5, 0.5], 3.5, 2), {}, "seed must be an integer, got 3.5"),
+            (([0.5, 0.5], True, 2), {}, "seed must be an integer, got True"),
+            (([0.5, 0.5], 3, 2, 1.5), {}, "stream must be an integer, got 1.5"),
+            (([0.5, 0.5], 3, True), {}, "n must be an integer in [0, 16777216], got True"),
+            (([0.5, 0.5], 3, 2), {"outcome": True}, "outcome must be an integer, got True"),
+            (([0.5, 0.5], 3, 2), {"outcome": 1.0}, "outcome must be an integer, got 1.0"),
+            (([[0.2, 0.8]], 3, 1000), {}, "probs must be a 1-D sequence of probabilities, got shape (1, 2)"),
+            ((0.5, 3, 2), {}, "probs must be a 1-D sequence of probabilities, got shape ()"),
+        ],
+    )
+    def test_every_refusal_names_what_is_wrong(self, args, kwargs, message):
+        with pytest.raises(ValueError) as refused:
+            count_outcomes(*args, **kwargs)
+        assert str(refused.value) == message
+
+    def test_numpy_integers_count_as_python_ints(self):
+        probs = [0.7, 0.2, 0.1]
+        expected = count_outcomes(probs, 21, 1000, 5)
+        counts = count_outcomes(probs, np.int64(21), np.int64(1000), np.uint32(5))
+        assert counts == expected and all(type(c) is int for c in counts)
+        (count,) = count_outcomes(probs, 21, np.int16(1000), 5, outcome=np.int64(2))
+        assert type(count) is int and count == expected[2]
