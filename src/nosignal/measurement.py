@@ -106,11 +106,12 @@ def _born(state: State, projectors) -> list[float]:
 
     Each probability is the state's :meth:`~nosignal.modes.State.range_sum`
     over the projector's ranges, summed once per state and kept with it, like
-    the density and the norm.  The basis check and the norm gate still run on
-    every call.
+    the density and the norm.  The basis check, by identity before equality,
+    and the norm gate still run on every call.
     """
+    basis = state.basis
     for projector in projectors:
-        if projector.basis != state.basis:
+        if projector.basis is not basis and projector.basis != basis:
             raise ValueError(f"projector {projector.label!r} is not on the state's basis")
     norm = state.norm
     if not abs(norm - 1.0) <= NORM_TOL:
@@ -178,25 +179,16 @@ class ProjectorSet:
 
 @dataclass(frozen=True)
 class OutcomeRecord:
-    """One row of a measurement's outcome table.
-
-    ``reduced`` is the post-collapse state, or ``None`` when the outcome's
-    probability sits below ``REDUCTION_EPS`` and cannot be conditioned on.
-    """
+    """One row of an outcome table: label and Born probability; :func:`reduce` collapses."""
 
     label: str
     probability: float
-    reduced: State | None
 
 
 def outcome_records(state: State, projector_set: ProjectorSet) -> list[OutcomeRecord]:
-    """Full Born-rule table for a complete projector set."""
+    """Full Born-rule table for a complete projector set, in outcome order."""
     probs = projector_set.probabilities(state)
-    records = []
-    for projector, p in zip(projector_set.projectors, probs):
-        reduced = reduce(state, projector) if p >= REDUCTION_EPS else None
-        records.append(OutcomeRecord(projector.label, float(p), reduced))
-    return records
+    return [OutcomeRecord(label, float(p)) for label, p in zip(projector_set.labels, probs)]
 
 
 def three_counter_partition(window: DetectorWindow, grid: Grid) -> ProjectorSet:

@@ -297,13 +297,18 @@ def calibrate(grid: Grid, sigma: float) -> CalibrationResult:
 # Frozen defaults
 # ---------------------------------------------------------------------------
 
+# One entry, like the pair's: one sigma is asked for many times; callers only read it.
+@functools.lru_cache(maxsize=1, typed=True)
 def _defaults(sigma: float) -> tuple[dict, Grid]:
     data = json.loads((resources.files(__package__) / "calibration" / "defaults.json").read_text())
     return data, Grid(data["r_min"] * sigma, data["r_max"] * sigma, data["n_points"])
 
 
 def default_grid(sigma: float = 1.0) -> Grid:
-    """The grid the frozen calibration was produced on, scaled by ``sigma``."""
+    """The grid the frozen calibration was produced on, scaled by ``sigma``.
+
+    Read once per sigma: calls in a row return one grid object, a shared basis.
+    """
     return _defaults(sigma)[1]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 import tracemalloc
@@ -11,6 +12,7 @@ from nosignal.measurement import (
     CHUNK,
     MAX_TRIALS,
     IncompleteProjectorSetError,
+    OutcomeRecord,
     Projector,
     ProjectorSet,
     ZeroNormReductionError,
@@ -26,7 +28,7 @@ from nosignal.measurement import (
     trial_uniforms,
     window_projector,
 )
-from nosignal.modes import Grid, State, combine, make_state
+from nosignal.modes import Grid, State, check_basis, combine, make_state
 from nosignal.tolerances import REDUCTION_EPS
 from nosignal.wavepacket import (
     DetectorWindow,
@@ -102,12 +104,22 @@ class TestProbability:
             (modes, window_projector("m", grid, DetectorWindow(-1.0, 1.0))),
             (psi, window_projector("m", fine, DetectorWindow(-1.0, 1.0))),
             (modes, mode_projector("m", ("l", "u"), "u")),
+            (modes, mode_projector("m", ("u", "x"), "u")),
+            (modes, mode_projector("m", ("u", "l", "x"), "u")),
         ]
+        # a grid one field off is refused, though the state's own basis passes by identity
+        for field, change in [("r_min", -1.0), ("r_max", 1.0), ("n_points", 1)]:
+            off = dataclasses.replace(grid, **{field: getattr(grid, field) + change})
+            cases.append((psi, Projector("m", off, ((0, 100),))))
         for state, projector in cases:
+            _, size = check_basis(projector.basis)
+            tiling = ProjectorSet((Projector("m", projector.basis, ((0, size),)),))
             with pytest.raises(ValueError, match="'m' is not on the state's basis"):
                 probability(state, projector)
             with pytest.raises(ValueError, match="'m' is not on the state's basis"):
                 reduce(state, projector)
+            with pytest.raises(ValueError, match="'m' is not on the state's basis"):
+                tiling.probabilities(state)
 
     def test_input_gate_holds_both_kinds_to_one_tolerance(self, grid):
         # a wavefunction whose norm is off by 2e-8 and a mode state off by
@@ -202,6 +214,24 @@ class TestBornSums:
         other = Grid(grid.r_min, grid.r_max + 1.0, grid.n_points)
         with pytest.raises(ValueError, match="'b' is not on the state's basis"):
             probability(psi, Projector("b", other, cells))
+
+    @pytest.mark.parametrize("kind", ["grid", "labels"])
+    def test_an_equal_basis_that_is_another_object_gives_the_same_bits(self, states, kind):
+        state = states["constructive"] if kind == "grid" else make_state([("u", 0.6), ("l", 0.8)])
+        twin = dataclasses.replace(state.basis) if kind == "grid" else tuple(list(state.basis))
+        assert twin == state.basis and twin is not state.basis
+        _, size = check_basis(state.basis)
+
+        def bits(basis):
+            first = Projector("a", basis, ((0, size // 2),))
+            tiling = ProjectorSet((first, Projector("b", basis, ((size // 2, size),))))
+            return (
+                probability(state, first).hex(),
+                reduce(state, first).amplitudes.tobytes(),
+                tiling.probabilities(state).tobytes(),
+            )
+
+        assert bits(twin) == bits(state.basis)
 
 
 class TestOneAllocation:
@@ -358,14 +388,44 @@ class TestProjectorSets:
         assert repr(a) == repr(b)
 
     def test_outcome_records_table(self, states, calibration, grid):
+        state = states["destructive"]
         pset = three_counter_partition(calibration.window, grid)
-        records = outcome_records(states["destructive"], pset)
+        records = outcome_records(state, pset)
         assert [r.label for r in records] == ["left", "in", "right"]
         assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-8)
-        for record in records:
-            assert probability(record.reduced, pset.projectors[
-                [r.label for r in records].index(record.label)
-            ]) == pytest.approx(1.0, abs=1e-12)
+        # the table keeps no collapsed state: collapsing onto an outcome is reduce's job
+        for projector in pset.projectors:
+            assert probability(reduce(state, projector), projector) == pytest.approx(
+                1.0, abs=1e-12
+            )
+
+    def test_outcome_records_collapse_nothing(self, states, calibration, grid, monkeypatch):
+        calls = []
+        real = measurement.reduce
+        monkeypatch.setattr(
+            measurement, "reduce", lambda *args: calls.append(args) or real(*args)
+        )
+        psets = [
+            three_counter_partition(calibration.window, grid),
+            pair_partition(calibration.window, grid),
+        ]
+        for state in states.values():
+            for pset in psets:
+                records = outcome_records(state, pset)
+                assert [r.label for r in records] == list(pset.labels)
+                assert [r.probability.hex() for r in records] == [
+                    p.hex() for p in pset.probabilities(state).tolist()
+                ]
+        modes = make_state([("H", 0.6), ("V", 0.8)])
+        hv = ProjectorSet(
+            (mode_projector("h", ("H", "V"), "H"), mode_projector("v", ("H", "V"), "V"))
+        )
+        assert outcome_records(modes, hv) == [
+            OutcomeRecord("h", probability(modes, hv.projectors[0])),
+            OutcomeRecord("v", probability(modes, hv.projectors[1])),
+        ]
+        assert calls == []
+        assert [f.name for f in dataclasses.fields(OutcomeRecord)] == ["label", "probability"]
 
     def test_incomplete_set_raises(self, grid, calibration):
         # completeness belongs to the apparatus, so it is refused whatever the

@@ -1,11 +1,14 @@
 import inspect
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from nosignal import wavepacket
+from nosignal.audit import VARIANT_DENSITY, ScenarioConfig
 from nosignal.measurement import probability, window_projector
 from nosignal.modes import MAX_GRID_POINTS, Grid, State, combine, inner
 from nosignal.wavepacket import (
@@ -342,6 +345,39 @@ class TestSymmetricWindow:
         assert window == symmetric_window(grid, FROZEN_HALFWIDTH)
         assert window_cells(grid, window) == (1852, 2245)
         assert window.halfwidth == FROZEN_HALFWIDTH
+
+
+class TestFrozenDefaults:
+    """The frozen record is read once per sigma and shared, never changed."""
+
+    @staticmethod
+    def _record():
+        path = resources.files("nosignal") / "calibration" / "defaults.json"
+        return json.loads(path.read_text())
+
+    def test_one_grid_object_per_sigma(self):
+        assert default_grid(1.0) is default_grid(1.0)
+        config = ScenarioConfig(variant=VARIANT_DENSITY, phases=(0.0, math.pi))
+        assert config.grid is default_grid()
+        assert config.window == default_calibration().window
+
+    def test_a_scaled_grid_then_the_unit_grid(self):
+        record = self._record()
+        bounds = (record["r_min"], record["r_max"])
+        assert default_grid(2.0) == Grid(2.0 * bounds[0], 2.0 * bounds[1], record["n_points"])
+        assert default_grid(1.0) == Grid(*bounds, record["n_points"])
+        assert default_grid(2.0) == Grid(2.0 * bounds[0], 2.0 * bounds[1], record["n_points"])
+
+    def test_the_calibration_matches_the_record_key_by_key(self):
+        default_calibration(2.0)  # another sigma takes the one cached entry first
+        cal, record = default_calibration(), self._record()
+        assert cal.sigma == record["sigma"]
+        assert cal.separation == record["d_over_sigma"]
+        assert cal.window == symmetric_window(default_grid(), record["window_halfwidth_over_sigma"])
+        assert cal.contrast == record["contrast"]
+        assert cal.p_in_constructive == record["p_in_constructive"]
+        assert cal.p_in_destructive == record["p_in_destructive"]
+        assert default_grid() == Grid(record["r_min"], record["r_max"], record["n_points"])
 
 
 class TestCalibrate:
