@@ -356,6 +356,21 @@ _COMMANDS = {
 }
 
 
+class _Variants:
+    """``audit.VARIANTS``, imported when argparse first reads it: parsing
+    ``--variant`` or printing ``audit --help``, not building the parser."""
+
+    def __iter__(self):
+        from .audit import VARIANTS
+
+        return iter(VARIANTS)
+
+    def __contains__(self, value) -> bool:
+        from .audit import VARIANTS
+
+        return value in VARIANTS
+
+
 def build_parser(_command: str | None = None) -> _Parser:
     """The parser for every command, or for ``_command`` alone when given."""
     parser = _Parser(prog="nosignal", description=__doc__.splitlines()[0])
@@ -369,11 +384,11 @@ def build_parser(_command: str | None = None) -> _Parser:
         for name, commands, kind, _, text in _SETTINGS:
             if command not in commands or text is _CONFIG_ONLY:
                 continue
-            choices = None
-            if name == "variant":
-                from .audit import VARIANTS as choices
             parse = kind if kind in (int, float) else None
-            p.add_argument("--" + name.replace("_", "-"), type=parse, choices=choices, help=text)
+            action = p.add_argument("--" + name.replace("_", "-"), type=parse, help=text)
+            if name == "variant":
+                # set after add_argument, which would read the choices at once
+                action.choices = _Variants()
         if command == "density":
             p.add_argument(
                 "--verify", action="store_true",

@@ -22,6 +22,16 @@ preserve the norm (it comes out ``sqrt(1 + s cos phi)`` with ``s`` the
 overlap).  :func:`orthogonal_pair` removes the overlap symmetrically,
 splitting the deviation evenly between the two packets, after which
 recombination is exactly norm-preserving for every phase.
+
+The packets, the pair and the calibration's phi = 0 profile are float64
+arithmetic; complex128 enters where the phase does, in :func:`recombine`.
+The bits are those of the complex128 ``State`` algebra they stand for: an
+IEEE complex operation whose imaginary operands are exact zeros rounds once,
+as its real counterpart does, and numpy's complex ``abs`` of ``x + 0i`` is
+``|x|``.  Two steps keep this only as written: numpy divides a complex by a
+real through the reciprocal, so the pair is scaled by ``1 / norm``, and the
+overlap gate sums its products as complex128, since a float64 sum groups
+the terms otherwise.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from importlib import resources
 
 import numpy as np
 
-from .modes import Grid, State, combine, inner
+from .modes import Grid, State, combine
 from .tolerances import TRUNCATION_TOL
 
 #: Raw-Gaussian overlaps above this make the orthogonalization ill-conditioned.
@@ -74,6 +84,11 @@ def gaussian(grid: Grid, center: float, sigma: float) -> State:
     overflows, or ``sigma**2`` is below the smallest normal double, where it
     has lost bits and the packet would be silently imprecise.
     """
+    return State._adopt(grid, _gaussian_samples(grid, center, sigma).astype(np.complex128))
+
+
+def _gaussian_samples(grid: Grid, center: float, sigma: float) -> np.ndarray:
+    """The float64 samples of :func:`gaussian`, with its checks and messages."""
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     outside = _normal_cdf((grid.r_min - center) / sigma) + _normal_cdf(
@@ -103,7 +118,7 @@ def gaussian(grid: Grid, center: float, sigma: float) -> State:
             f"{grid.spacing}: every sample underflows to 0"
         )
     raw /= scale
-    return State._adopt(grid, raw.astype(np.complex128))
+    return raw
 
 
 def orthogonal_pair(grid: Grid, separation: float, width: float) -> tuple[State, State]:
@@ -126,24 +141,39 @@ def orthogonal_pair(grid: Grid, separation: float, width: float) -> tuple[State,
 # calibration scan or a run of exports moves on and never asks again.
 @functools.lru_cache(maxsize=1, typed=True)
 def _orthogonal_pair(grid: Grid, separation: float, width: float) -> tuple[State, State]:
+    return _pair_states(grid, *_real_pair(grid, separation, width))
+
+
+def _pair_states(grid: Grid, upper: np.ndarray, lower: np.ndarray) -> tuple[State, State]:
+    """The real samples of a pair as its two complex128 states."""
+    return tuple(State._adopt(grid, part.astype(np.complex128)) for part in (upper, lower))
+
+
+def _real_pair(grid: Grid, separation: float, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 samples of :func:`orthogonal_pair`'s ``(upper, lower)``, with its checks.
+
+    Each step is the real part of the complex128 step it stands for, which
+    has exact-zero imaginary parts; see the module's numerical scheme.
+    """
     if not separation > 0:
         raise ValueError(f"separation must be positive, got {separation}")
-    g_up = gaussian(grid, +separation / 2, width)
-    g_lo = gaussian(grid, -separation / 2, width)
-    overlap = inner(g_up, g_lo).real
+    g_up = _gaussian_samples(grid, +separation / 2, width)
+    g_lo = _gaussian_samples(grid, -separation / 2, width)
+    h = grid.spacing
+    # summed pairwise as complex128, as modes.inner sums: float64 groups the terms otherwise
+    overlap = h * np.add.reduce((g_up * g_lo).astype(np.complex128)).real
     if overlap > MAX_OVERLAP:
         raise ConditioningError(
             f"raw overlap {overlap:.6f} exceeds {MAX_OVERLAP}; "
             "packets are too close to orthogonalize"
         )
-    even = combine(g_up, g_lo, 1.0, 1.0)
-    odd = combine(g_up, g_lo, 1.0, -1.0)
-    even = State._adopt(grid, even.amplitudes / even.norm)
-    odd = State._adopt(grid, odd.amplitudes / odd.norm)
+    even = g_up + g_lo
+    odd = g_up - g_lo
+    # numpy divides a complex by a real through the reciprocal, so scale by it
+    even *= 1.0 / math.sqrt(h * np.add.reduce(even * even))
+    odd *= 1.0 / math.sqrt(h * np.add.reduce(odd * odd))
     inv_sqrt2 = 1 / math.sqrt(2)
-    upper = combine(even, odd, inv_sqrt2, inv_sqrt2)
-    lower = combine(even, odd, inv_sqrt2, -inv_sqrt2)
-    return upper, lower
+    return inv_sqrt2 * even + inv_sqrt2 * odd, inv_sqrt2 * even - inv_sqrt2 * odd
 
 
 def recombine(pair: tuple[State, State], phi: float) -> State:
@@ -198,11 +228,16 @@ def symmetric_window(grid: Grid, halfwidth: float) -> DetectorWindow:
     if not (math.isfinite(halfwidth) and halfwidth > 0):
         raise ValueError(f"halfwidth must be a positive finite number, got {halfwidth}")
     h = grid.spacing
+    cells = halfwidth / h
+    if not math.isfinite(cells):
+        raise ValueError(
+            f"halfwidth {halfwidth} spans more cells of width {h} than a double can count"
+        )
     zero = grid.n_points / 2 - grid.center / h  # r = 0 in cell-edge units
     below, above = math.floor(zero), math.ceil(zero)
     least = int(below == above)  # r = 0 on a cell edge: at least one cell each side
-    lo = below - max(least, round(halfwidth / h - (zero - below)))
-    hi = above + max(least, round(halfwidth / h - (above - zero)))
+    lo = below - max(least, round(cells - (zero - below)))
+    hi = above + max(least, round(cells - (above - zero)))
     return DetectorWindow(grid.edge_value(lo), grid.edge_value(hi))
 
 
@@ -260,10 +295,13 @@ def calibrate(grid: Grid, sigma: float) -> CalibrationResult:
     best: CalibrationResult | None = None
     windows: list[DetectorWindow] | None = None
     h = grid.spacing
+    inv_sqrt2 = 1 / math.sqrt(2)
+    # the profiles' cumulative sums, 0 before the first cell
+    cum0, cum_pi = np.zeros(grid.n_points + 1), np.zeros(grid.n_points + 1)
     for d_over_sigma in CALIBRATION_SEPARATIONS:
         separation = float(d_over_sigma * sigma)
         try:
-            pair = orthogonal_pair(grid, separation, sigma)
+            upper, lower = _real_pair(grid, separation, sigma)
         except (TruncationError, ConditioningError):
             continue
         if windows is None:
@@ -271,8 +309,12 @@ def calibrate(grid: Grid, sigma: float) -> CalibrationResult:
             # grid too small for any pair the scan must end in CalibrationError
             windows = [symmetric_window(grid, float(w * sigma)) for w in CALIBRATION_HALFWIDTHS]
             i_lo, i_hi = np.array([window_cells(grid, w) for w in windows]).T
-        cum0 = np.concatenate(([0.0], np.cumsum(recombine(pair, 0.0).density))) * h
-        cum_pi = np.concatenate(([0.0], np.cumsum(recombine(pair, math.pi).density))) * h
+        # recombine(pair, 0.0) is re + 0i, and its density |re + 0i|**2 is re * re
+        re = inv_sqrt2 * upper + inv_sqrt2 * lower
+        np.cumsum(re * re, out=cum0[1:])
+        cum0 *= h
+        np.cumsum(recombine(_pair_states(grid, upper, lower), math.pi).density, out=cum_pi[1:])
+        cum_pi *= h
         p0 = cum0[i_hi] - cum0[i_lo]
         p_pi = cum_pi[i_hi] - cum_pi[i_lo]
         contrast = np.minimum(p0, 1.0 - p_pi)

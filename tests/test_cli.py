@@ -310,7 +310,8 @@ class TestDensityCommand:
         def no_packets(*args):
             raise AssertionError("a packet was built on a refused grid")
 
-        monkeypatch.setattr(wavepacket, "gaussian", no_packets)
+        # every packet, a pair's too, is sampled here
+        monkeypatch.setattr(wavepacket, "_gaussian_samples", no_packets)
         out = tmp_path / "x"
         points = str(MAX_GRID_POINTS + 1)
         assert cli.main([command, "--points", points, "--out", str(out)]) == 1
@@ -475,6 +476,10 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
         (("density", "--halfwidth", "0"), None, "halfwidth"),
         (("density", "--halfwidth", "nan"), None, "halfwidth"),
         (("density",), {"window_halfwidth_over_sigma": -1}, "halfwidth"),
+        # finite, but its cell count is not: rounding it overflowed
+        (("density", "--halfwidth", "1e308"), None, "halfwidth 1e+308 spans more cells"),
+        (("density",), {"window_halfwidth_over_sigma": 1e308},
+         "halfwidth 1e+308 spans more cells"),
         # a window wider than the grid, refused before the CSV is written
         (("density", "--verify", "--halfwidth", "100"), None, "reaches outside the grid"),
         (("density", "--verify"), {"window_halfwidth_over_sigma": 100},
@@ -518,6 +523,7 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
         "audit-config-trials-fractional", "audit-config-trials-bool", "density-config-sigma-bool",
         "density-halfwidth-inf", "density-halfwidth-negative", "density-halfwidth-zero",
         "density-halfwidth-nan", "density-config-halfwidth-negative",
+        "density-halfwidth-cells-overflow", "density-config-halfwidth-cells-overflow",
         "density-verify-window-past-grid", "density-verify-config-window-past-grid",
         "density-span-overflows",
         "audit-trials-past-cap", "audit-config-trials-past-cap", "audit-phi-sweep-past-cap",

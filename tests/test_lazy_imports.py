@@ -4,10 +4,17 @@ Every CLI run is a cold start, so ``cli.py`` and ``__init__.py`` import the
 layers only inside the functions that use them.  A statement that runs at
 module load (at the top level, in an ``if`` or ``try`` there, or in a class
 body) must not import a layer, or a name the package re-exports from one.
+A run that names no command only lists the commands, and imports no layer.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import nosignal
 
@@ -57,3 +64,29 @@ def test_the_commands_import_their_layers_inside_functions():
     # the walk sees the imports that the commands make when they run
     layers = set().union(*_found(in_function=True).values())
     assert {"audit", "measurement", "optics", "wavepacket"} <= layers
+
+
+#: Prints the ``nosignal`` modules loaded after ``cli.main(argv)``, as the last stdout line.
+_LOADED_AFTER_MAIN = """
+import json, sys
+from nosignal import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("nosignal."))))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], [], ["bogus"]], ids=["help", "no-command", "unknown-command"]
+)
+def test_a_run_that_names_no_command_imports_no_layer(argv):
+    # a child process: this one has imported every layer for the other tests
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(PACKAGE.parent) + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_MAIN, *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert json.loads(result.stdout.splitlines()[-1]) == ["nosignal.cli"]

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 import math
@@ -14,6 +15,7 @@ from nosignal.modes import MAX_GRID_POINTS, Grid, State, combine, inner
 from nosignal.wavepacket import (
     CALIBRATION_HALFWIDTHS,
     CALIBRATION_SEPARATIONS,
+    MAX_OVERLAP,
     MIN_USABLE_CONTRAST,
     CalibrationError,
     CalibrationResult,
@@ -302,7 +304,7 @@ class TestWindowProbability:
         tiny = symmetric_window(grid, 1e-9)
         assert _in_window(psi, tiny) <= 0.01
 
-    @pytest.mark.parametrize("halfwidth", [math.inf, math.nan, 0.0, -5.0])
+    @pytest.mark.parametrize("halfwidth", [math.inf, math.nan, 0.0, -5.0, 1e308])
     def test_symmetric_window_needs_a_positive_finite_halfwidth(self, grid, halfwidth):
         with pytest.raises(ValueError, match="halfwidth"):
             symmetric_window(grid, halfwidth)
@@ -469,17 +471,77 @@ def _reference_calibrate(grid, sigma):
     return best
 
 
+#: The scans ``calibrate`` is held to its references on, with their sigma.
+SCAN_GRIDS = pytest.mark.parametrize(
+    "grid, sigma",
+    [
+        (default_grid(), 1.0),
+        (default_grid(2.0), 2.0),
+        (Grid(-12.0, 12.0, 4096), 1.0),  # even cell count
+        (Grid(-7.0, 7.0, 64), 1.0),  # many half-widths snap to one window
+    ],
+    ids=["default", "default-sigma2", "even-4096", "coarse-64"],
+)
+
+
+def _reference_pair(grid, separation, width):
+    """The pair built in complex128 ``State`` algebra: what ``orthogonal_pair`` must equal bit for bit."""
+    g_up = gaussian(grid, +separation / 2, width)
+    g_lo = gaussian(grid, -separation / 2, width)
+    overlap = inner(g_up, g_lo).real
+    if overlap > MAX_OVERLAP:
+        raise ConditioningError(f"raw overlap {overlap}")
+    even = combine(g_up, g_lo, 1.0, 1.0)
+    odd = combine(g_up, g_lo, 1.0, -1.0)
+    even = State(grid, even.amplitudes / even.norm)
+    odd = State(grid, odd.amplitudes / odd.norm)
+    inv_sqrt2 = 1 / math.sqrt(2)
+    return combine(even, odd, inv_sqrt2, inv_sqrt2), combine(even, odd, inv_sqrt2, -inv_sqrt2)
+
+
+def _built(make, grid, separation, width):
+    """The pair's amplitude bytes, or the type of error building it raised."""
+    try:
+        return tuple(state.amplitudes.tobytes() for state in make(grid, separation, width))
+    except (TruncationError, ConditioningError) as exc:
+        return type(exc)
+
+
+class TestRealPairMatchesStateAlgebra:
+    @SCAN_GRIDS
+    def test_every_scanned_pair_bit_for_bit(self, grid, sigma):
+        built = []
+        for d_over_sigma in CALIBRATION_SEPARATIONS:
+            separation = float(d_over_sigma * sigma)
+            got = _built(orthogonal_pair, grid, separation, sigma)
+            assert got == _built(_reference_pair, grid, separation, sigma), d_over_sigma
+            built.append(got)
+        assert any(isinstance(got, tuple) for got in built)
+
+    @SCAN_GRIDS
+    def test_conditioning_refused_at_the_same_separations(self, grid, sigma):
+        def refused(separation):
+            return _built(_reference_pair, grid, separation, sigma) is ConditioningError
+
+        # bisect to two adjacent doubles: the reference refuses the lower, builds the upper
+        lo, hi = 0.01 * sigma, 0.5 * sigma
+        assert refused(lo) and not refused(hi)
+        while math.nextafter(lo, hi) != hi:
+            mid = lo + (hi - lo) / 2
+            if mid in (lo, hi):
+                mid = math.nextafter(lo, hi)
+            lo, hi = (mid, hi) if refused(mid) else (lo, mid)
+        separation = lo
+        for _ in range(8):
+            separation = math.nextafter(separation, -math.inf)
+        for _ in range(18):  # 8 ULPs below the crossing to 8 above it
+            want = _built(_reference_pair, grid, separation, sigma)
+            assert _built(orthogonal_pair, grid, separation, sigma) == want, separation.hex()
+            separation = math.nextafter(separation, math.inf)
+
+
 class TestCalibrateMatchesScalarScan:
-    @pytest.mark.parametrize(
-        "grid, sigma",
-        [
-            (default_grid(), 1.0),
-            (default_grid(2.0), 2.0),
-            (Grid(-12.0, 12.0, 4096), 1.0),  # even cell count
-            (Grid(-7.0, 7.0, 64), 1.0),  # many half-widths snap to one window
-        ],
-        ids=["default", "default-sigma2", "even-4096", "coarse-64"],
-    )
+    @SCAN_GRIDS
     def test_same_result_bit_for_bit(self, grid, sigma):
         got, want = calibrate(grid, sigma), _reference_calibrate(grid, sigma)
         assert got == want
@@ -488,20 +550,24 @@ class TestCalibrateMatchesScalarScan:
         assert (got.window.lo, got.window.hi) == (want.window.lo, want.window.hi)
 
     def test_ties_keep_the_first_geometry_in_scan_order(self, grid, monkeypatch):
-        # profiles under which every scanned window at every separation has
-        # contrast exactly 1: all of phi = 0 in the central cells, all of
-        # phi = pi in the outermost ones
-        def step_profile(pair, phi):
-            density = np.zeros(grid.n_points)
-            if phi == 0.0:
-                density[grid.n_points // 2 - 4 : grid.n_points // 2 + 5] = 1.0
-            else:
-                density[:4] = density[-4:] = 1.0
-            return State(grid, np.sqrt(density / (grid.spacing * density.sum())))
+        # a pair under which every scanned window at every separation has the
+        # same contrast, about 1: phi = 0 recombines into the central cells,
+        # phi = pi into the outermost ones
+        n, h = grid.n_points, grid.spacing
+        centre, edges = np.zeros(n), np.zeros(n)
+        centre[n // 2 - 4 : n // 2 + 5] = 1.0 / math.sqrt(9 * h)
+        edges[:4] = edges[-4:] = 1.0 / math.sqrt(8 * h)
 
-        monkeypatch.setattr(wavepacket, "recombine", step_profile)
+        def step_pair(grid, separation, width):
+            return (centre + edges) / math.sqrt(2), (centre - edges) / math.sqrt(2)
+
+        # calibrate reads the real pair; the reference reads it through a fresh pair cache
+        monkeypatch.setattr(wavepacket, "_real_pair", step_pair)
+        fresh = functools.lru_cache(maxsize=1, typed=True)(wavepacket._orthogonal_pair.__wrapped__)
+        monkeypatch.setattr(wavepacket, "_orthogonal_pair", fresh)
         got = calibrate(grid, 1.0)
         assert got == _reference_calibrate(grid, 1.0)
+        assert got.contrast == pytest.approx(1.0, abs=1e-12)
         assert got.separation == float(CALIBRATION_SEPARATIONS[0])
         assert got.window == symmetric_window(grid, float(CALIBRATION_HALFWIDTHS[0]))
 
