@@ -49,6 +49,8 @@ def _write_output(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
+    if not path:  # realpath would turn it into the working directory
+        raise _UsageError("--out must name a file, or - for stdout; got ''")
     target = Path(os.path.realpath(path))
     if target.exists() and not target.is_file():
         # a FIFO, a device, ...: write into it, never rename over it
@@ -248,22 +250,37 @@ def cmd_audit(args) -> int:
 # density
 # ---------------------------------------------------------------------------
 
+def _float_texts(name: str, values) -> list[str]:
+    """``repr`` of each of ``values`` as a float, each distinct magnitude formatted once.
+
+    ``repr`` writes the sign apart from the digits of the magnitude, so a
+    ``-`` before the magnitude's text is the negative value's text, ``-0.0``
+    too.  A mirror-symmetric profile has about half as many magnitudes as
+    values.  A NaN or an infinity, which strict JSON cannot hold, is refused.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    magnitudes, index = np.unique(np.abs(values), return_inverse=True)
+    # np.unique sorts infinities and NaNs last
+    if magnitudes.size and not math.isfinite(magnitudes[-1]):
+        raise ValueError(f"column {name!r} holds a value that is not finite")
+    out = np.array(list(map(float.__repr__, magnitudes.tolist())), dtype=object)[index]
+    negative = np.signbit(values)
+    out[negative] = "-" + out[negative]
+    return out.tolist()
+
+
 def _density_text(grid, columns: list[tuple[str, "object"]], fmt: str) -> str:
-    r = grid.points
+    fields = [("r", grid.points), *columns]
+    texts = [_float_texts(name, col) for name, col in fields]
     if fmt == "json":
-        # the indent=2 layout of _json_text, with each flat column written by
-        # the C encoder (json.dumps without indent) and broken one value a line
-        fields = [("r", r), *columns]
+        # the indent=2 layout of _json_text: json writes a finite float as its repr
         body = ",\n".join(
-            f'  {json.dumps(name)}: [\n    '
-            + json.dumps(np.asarray(col).tolist())[1:-1].replace(", ", ",\n    ")
-            + "\n  ]"
-            for name, col in fields
+            f'  {json.dumps(name)}: [\n    ' + ",\n    ".join(column) + "\n  ]"
+            for (name, _), column in zip(fields, texts)
         )
         return "{\n" + body + "\n}\n"
-    header = "r," + ",".join(name for name, _ in columns)
-    rows = np.column_stack([r, *(col for _, col in columns)]).tolist()
-    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+    header = ",".join(name for name, _ in fields)
+    return "\n".join([header, *map(",".join, zip(*texts))]) + "\n"
 
 
 def cmd_density(args) -> int:

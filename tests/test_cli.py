@@ -239,6 +239,13 @@ PINNED_GRID_OUTPUTS = {
                     "ce888845a8d64b6b656ab69a46c944413b4e161167ff857553d451ba55f03693"),
     "density-phi-json": (("density", "--phi", "1.3", "--format", "json"), "out", 0,
                          "0a1e46ba736cc758d887b410e17f63fe98ea97e1d0926706bb08d6106640c558"),
+    # nothing mirrors on an off-centre grid: no magnitude repeats
+    "density-off-centre-csv": (("density", "--r-min", "-10", "--r-max", "14"), "out", 0,
+                               "1541274376943948daac63ae3c78b4a80f3b533ebbdafe65d00a78cf192df2b7"),
+    # an even cell count: r = 0 falls on a cell edge, not on a cell
+    "density-even-phi-json": (("density", "--points", "1000", "--phi", "1.3", "--format", "json"),
+                              "out", 0,
+                              "b910e01b054794814141f29d6e67f3941d5e949c2b0a4be9fa3636ad2665d6e3"),
     "density-verify": (("density", "--verify"), "stdout", 0,
                        "5a138024fa3c2d7d1efe7604b5e01cbb651f6ee55cbdd70271ad884255866ea6"),
     "audit-density": (
@@ -714,6 +721,21 @@ def test_out_into_a_missing_directory_names_the_given_path(tmp_path):
     assert len(first.stderr.splitlines()) == 1 and first.stderr.startswith("error:")
     assert repr(out) in first.stderr  # not the random name of a temp file
     assert second.stderr == first.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("audit", "--variant", "mach-zehnder", "--phi-sweep", "2", "--trials", "10"),
+    ("density", "--verify"),
+    ("validate", "--circuit", "shiekh"),
+    ("calibrate",),
+], ids=lambda argv: argv[0])
+def test_an_empty_out_is_refused_naming_out(tmp_path, argv):
+    # an empty path resolves to the working directory, which the user never named
+    result = run_cli(*argv, "--out", "", cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: --out must name a file, or - for stdout; got ''\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_through_a_link_writes_the_file_it_points_to(tmp_path):
