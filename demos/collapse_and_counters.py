@@ -25,7 +25,7 @@ from nosignal import (
 
 grid = default_grid()
 cal = default_calibration()
-pair = orthogonal_pair(grid, cal.separation, 1.0)
+pair = orthogonal_pair(grid, cal.separation)
 
 # --- Born probabilities for the counter window ----------------------------
 counter = window_projector("in", grid, cal.window)

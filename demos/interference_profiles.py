@@ -34,8 +34,8 @@ print(f"calibrated geometry: d = {cal.separation:.4f}, "
       f"window = [{cal.window.lo:.4f}, {cal.window.hi:.4f}]")
 
 # --- raw packets overlap, and the overlap breaks naive recombination ----
-g_up = gaussian(grid, +cal.separation / 2, 1.0)
-g_lo = gaussian(grid, -cal.separation / 2, 1.0)
+g_up = gaussian(grid, +cal.separation / 2)
+g_lo = gaussian(grid, -cal.separation / 2)
 s = inner(g_up, g_lo).real
 print(f"\nraw packet overlap s = {s:.6f} "
       f"(closed form {math.exp(-cal.separation**2 / 8):.6f})")
@@ -46,7 +46,7 @@ for phi in (0.0, math.pi):
           f"{math.sqrt(1 + s * math.cos(phi)):.6f})")
 
 # --- the orthogonalized pair recombines unitarily ------------------------
-pair = orthogonal_pair(grid, cal.separation, 1.0)
+pair = orthogonal_pair(grid, cal.separation)
 print(f"\northogonalized: <chi_u|chi_l> = "
       f"{abs(inner(*pair)):.2e}")
 for phi in (0.0, math.pi / 2, math.pi):

@@ -92,8 +92,7 @@ class ScenarioConfig:
     phases: tuple[float, ...]
     trials: int = 10_000
     seed: int = 0
-    sigma: float = 1.0
-    # the density variant's frozen calibration, scaled by sigma; not settable
+    # the density variant's frozen calibration; not settable
     grid: Grid | None = field(init=False, default=None)
     separation: float | None = field(init=False, default=None)
     window: DetectorWindow | None = field(init=False, default=None)
@@ -107,15 +106,13 @@ class ScenarioConfig:
             raise ValueError(f"trials must be an int in [1, {MAX_TRIALS}], got {self.trials!r}")
         if not (type(self.seed) is int and 0 <= self.seed < MAX_SEED):
             raise ValueError(f"seed must be an int in [0, 2**63), got {self.seed!r}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be a positive finite number, got {self.sigma}")
         phases = tuple(float(p) for p in self.phases)
         if not all(math.isfinite(p) for p in phases):
             raise ValueError("phases must be finite")
         object.__setattr__(self, "phases", phases)
         if self.variant == VARIANT_DENSITY:
-            cal = default_calibration(self.sigma)
-            object.__setattr__(self, "grid", default_grid(self.sigma))
+            cal = default_calibration()
+            object.__setattr__(self, "grid", default_grid())
             object.__setattr__(self, "separation", cal.separation)
             object.__setattr__(self, "window", cal.window)
 
@@ -156,7 +153,7 @@ def evolve_sender(
     if config.variant == VARIANT_MACH_ZEHNDER:
         branch = mz_output(phi)
     else:
-        pair = orthogonal_pair(config.grid, config.separation, config.sigma)
+        pair = orthogonal_pair(config.grid, config.separation)
         branch = recombine(pair, phi)
     return CompositeState(
         receiver_amplitude=state.receiver_amplitude,

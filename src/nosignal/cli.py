@@ -93,7 +93,6 @@ _SETTINGS = (
     ("phi_sweep", ("audit",), int, 64, None),
     ("trials", ("audit",), int, 10_000, None),
     ("phi", ("density",), None, None, "0, pi, or radians (default: both)"),
-    ("sigma", ("audit", "density", "calibrate"), float, 1.0, None),
     ("r_min", ("density", "calibrate"), float, None, None),
     ("r_max", ("density", "calibrate"), float, None, None),
     ("points", ("density", "calibrate"), int, None, None),
@@ -110,12 +109,21 @@ _SETTINGS = (
     ("p_in_destructive", ("density", "calibrate"), float, None, _CONFIG_ONLY),
 )
 
+#: A flag's setting and the calibration record's key for the same number.
+_RECORD_KEYS = (
+    ("points", "n_points"),
+    ("separation", "d_over_sigma"),
+    ("halfwidth", "window_halfwidth_over_sigma"),
+)
+
 
 def _settings(args, command: str) -> dict:
     """Each setting of ``command``: its flag if given, else its config value, else its default.
 
     A config key that ``command`` does not take is a usage error, raised before
-    any work.  A given value, a config ``null`` too, goes through ``_convert``.
+    any work, and so is one number under both its names.  A given value, a
+    config ``null`` too, goes through ``_convert``.  An unset flag's setting
+    takes its ``_RECORD_KEYS`` value.
     """
     rows = {row[0]: row[2:4] for row in _SETTINGS if command in row[1]}
     config = {}
@@ -133,6 +141,9 @@ def _settings(args, command: str) -> dict:
             close = difflib.get_close_matches(key, rows, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise _UsageError(f"{command} has no setting {key!r}{hint}")
+    for name, key in _RECORD_KEYS:
+        if name in config and key in config:
+            raise _UsageError(f"config file sets both {name!r} and {key!r}; give one")
     values = {}
     for name, (kind, default) in rows.items():
         value = getattr(args, name, None)
@@ -142,6 +153,9 @@ def _settings(args, command: str) -> dict:
                 continue
             value = config[name]
         values[name] = _convert(name, value, kind)
+    for name, key in _RECORD_KEYS:
+        if name in values and values[name] is None:
+            values[name] = values[key]
     return values
 
 
@@ -178,35 +192,25 @@ def _parse_phi(text: str) -> float:
 
 
 def _grid_from(s: dict):
-    """The ``wavepacket.Grid`` of the settings; ``n_points`` stands in for ``points``."""
+    """The ``wavepacket.Grid`` of the settings."""
     from . import wavepacket
 
-    sigma = s["sigma"]
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise _UsageError(f"sigma must be a positive finite number, got {sigma}")
-    defaults = wavepacket.default_grid(sigma)
-    points = s["n_points"] if s["points"] is None else s["points"]
+    defaults = wavepacket.default_grid()
     return wavepacket.Grid(
         defaults.r_min if s["r_min"] is None else s["r_min"],
         defaults.r_max if s["r_max"] is None else s["r_max"],
-        defaults.n_points if points is None else points,
+        defaults.n_points if s["points"] is None else s["points"],
     )
 
 
 def _geometry_from(s: dict, grid):
-    """(separation, window): each from its flag, else from the config record's
-    ratio times sigma, else from the frozen record's.  The window is snapped on ``grid``."""
+    """(separation, window): each from the settings, else from the frozen
+    record.  The window is snapped on ``grid``."""
     from . import wavepacket
 
-    sigma = s["sigma"]
-    frozen = wavepacket.default_calibration().to_json_dict()
-    separation, halfwidth = s["separation"], s["halfwidth"]
-    if separation is None:
-        ratio = s["d_over_sigma"]
-        separation = (frozen["d_over_sigma"] if ratio is None else ratio) * sigma
-    if halfwidth is None:
-        ratio = s["window_halfwidth_over_sigma"]
-        halfwidth = (frozen["window_halfwidth_over_sigma"] if ratio is None else ratio) * sigma
+    frozen = wavepacket.default_calibration()
+    separation = frozen.separation if s["separation"] is None else s["separation"]
+    halfwidth = frozen.window.halfwidth if s["halfwidth"] is None else s["halfwidth"]
     return separation, wavepacket.symmetric_window(grid, halfwidth)
 
 
@@ -238,7 +242,6 @@ def cmd_audit(args) -> int:
         phases=audit_mod.default_phase_sweep(s["phi_sweep"]),
         trials=s["trials"],
         seed=s["seed"],
-        sigma=s["sigma"],
     )
     report = audit_mod.no_signalling_audit(scenario)
     text = _json_text(report.to_json_dict()) if s["format"] == "json" else _audit_csv(report)
@@ -289,7 +292,7 @@ def cmd_density(args) -> int:
     s = _settings(args, "density")
     grid = _grid_from(s)
     separation, window = _geometry_from(s, grid)
-    pair = wavepacket.orthogonal_pair(grid, separation, s["sigma"])
+    pair = wavepacket.orthogonal_pair(grid, separation)
     phi_arg = s["phi"]
     if phi_arg is None:
         psi0 = wavepacket.recombine(pair, 0.0)
@@ -352,7 +355,7 @@ def cmd_calibrate(args) -> int:
     s = _settings(args, "calibrate")
     grid = _grid_from(s)
     try:
-        result = wavepacket.calibrate(grid, s["sigma"])
+        result = wavepacket.calibrate(grid)
     except wavepacket.CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return VERDICT_FAIL
@@ -420,6 +423,8 @@ def build_parser(_command: str | None = None) -> _Parser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["--"] and not "".join(argv[1:2]).startswith("-"):
+        del argv[0]  # argparse would take a leading -- for the command
     # a run that names its command builds only that command's parser (and
     # imports only what its arguments need); any other argv gets them all,
     # so the top-level help and usage errors list every command

@@ -59,6 +59,11 @@ class Grid:
             raise ValueError(
                 f"grid n_points must be an integer in [64, {MAX_GRID_POINTS}], got {n!r}"
             )
+        if not self.spacing > 0:  # a span of a few subnormals, cut into n cells
+            raise ValueError(
+                f"grid [{self.r_min}, {self.r_max}] is too narrow for {n} cells: "
+                "the spacing underflows to 0"
+            )
 
     @property
     def spacing(self) -> float:

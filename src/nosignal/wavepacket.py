@@ -1,8 +1,8 @@
 """Spatial wave packets on a grid: interference profiles, detector windows, calibration.
 
 The two packets leaving the interferometer travel parallel along the
-transverse axis ``r``, displaced by a separation ``d`` and each of width
-``sigma``.  Recombining them with a relative phase produces the
+transverse axis ``r``, displaced by a separation ``d``; lengths are in units
+of the packets' common width sigma.  Recombining them with a relative phase produces the
 constructive (even) or destructive (odd) density profile a detector sees.
 
 Numerical scheme
@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -72,56 +71,48 @@ def _normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2))
 
 
-def gaussian(grid: Grid, center: float, sigma: float) -> State:
-    """Real Gaussian packet ``exp(-(r-center)^2 / (4 sigma^2))``, quadrature-normalized.
+def gaussian(grid: Grid, center: float) -> State:
+    """Real Gaussian packet ``exp(-(r-center)^2 / 4)``, quadrature-normalized.
 
-    The squared amplitude is then the normal density with standard
-    deviation ``sigma``.  Raises :class:`TruncationError` when more than
+    The squared amplitude is then the standard normal density about
+    ``center``.  Raises :class:`TruncationError` when more than
     ``TRUNCATION_TOL`` of that probability mass falls outside the grid, and
-    ``ValueError`` when the packet is so much narrower than the grid spacing
-    that no sample of it is above 0, or when its exponent leaves the double
-    range at this ``sigma``: ``sigma**2`` or a squared offset on the grid
-    overflows, or ``sigma**2`` is below the smallest normal double, where it
-    has lost bits and the packet would be silently imprecise.
+    ``ValueError`` when the grid spacing is so coarse that no sample of the
+    packet is above 0, or when a squared offset ``(r - center)**2`` on the
+    grid leaves the double range.
     """
-    return State._adopt(grid, _gaussian_samples(grid, center, sigma).astype(np.complex128))
+    return State._adopt(grid, _gaussian_samples(grid, center).astype(np.complex128))
 
 
-def _gaussian_samples(grid: Grid, center: float, sigma: float) -> np.ndarray:
+def _gaussian_samples(grid: Grid, center: float) -> np.ndarray:
     """The float64 samples of :func:`gaussian`, with its checks and messages."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    outside = _normal_cdf((grid.r_min - center) / sigma) + _normal_cdf(
-        (center - grid.r_max) / sigma
-    )
+    outside = _normal_cdf(grid.r_min - center) + _normal_cdf(center - grid.r_max)
     if outside > TRUNCATION_TOL:
         raise TruncationError(
-            f"packet at center={center} sigma={sigma} has mass {outside:.3g} "
+            f"packet at center={center} has mass {outside:.3g} "
             f"outside the grid [{grid.r_min}, {grid.r_max}]"
         )
     r = grid.points
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            if sigma**2 < sys.float_info.min:  # subnormal: its low bits are already gone
-                raise FloatingPointError
-            raw = np.exp(-((r - center) ** 2) / (4 * sigma**2))
-    except (OverflowError, FloatingPointError):
+            raw = np.exp(-((r - center) ** 2) / 4)
+    except FloatingPointError:
         raise ValueError(
-            f"sigma={sigma} puts the packet's exponent (r - center)**2 / (4 sigma**2) "
-            f"outside the double range on the grid [{grid.r_min}, {grid.r_max}]"
+            f"the packet's exponent (r - center)**2 / 4 leaves the double range "
+            f"on the grid [{grid.r_min}, {grid.r_max}]"
         ) from None
     scale = math.sqrt(grid.spacing * float(np.add.reduce(raw * raw)))
     if not (math.isfinite(scale) and scale > 0):
         # every sample underflowed: the packet falls between the grid's samples
         raise ValueError(
-            f"packet of sigma={sigma} is not resolved by the grid spacing "
+            f"packet at center={center} is not resolved by the grid spacing "
             f"{grid.spacing}: every sample underflows to 0"
         )
     raw /= scale
     return raw
 
 
-def orthogonal_pair(grid: Grid, separation: float, width: float) -> tuple[State, State]:
+def orthogonal_pair(grid: Grid, separation: float) -> tuple[State, State]:
     """Symmetrically orthogonalize Gaussians centered at ``+-separation/2``.
 
     Returns the states ``(upper, lower)``.  The unique orthonormal pair
@@ -134,14 +125,14 @@ def orthogonal_pair(grid: Grid, separation: float, width: float) -> tuple[State,
     The last pair built is kept: asking again for the same geometry, as an
     audit does once per phase, returns that same read-only pair.
     """
-    return _orthogonal_pair(grid, separation, width)
+    return _orthogonal_pair(grid, separation)
 
 
 # One entry: an audit asks for one geometry many times in a row, while a
 # calibration scan or a run of exports moves on and never asks again.
 @functools.lru_cache(maxsize=1, typed=True)
-def _orthogonal_pair(grid: Grid, separation: float, width: float) -> tuple[State, State]:
-    return _pair_states(grid, *_real_pair(grid, separation, width))
+def _orthogonal_pair(grid: Grid, separation: float) -> tuple[State, State]:
+    return _pair_states(grid, *_real_pair(grid, separation))
 
 
 def _pair_states(grid: Grid, upper: np.ndarray, lower: np.ndarray) -> tuple[State, State]:
@@ -149,7 +140,7 @@ def _pair_states(grid: Grid, upper: np.ndarray, lower: np.ndarray) -> tuple[Stat
     return tuple(State._adopt(grid, part.astype(np.complex128)) for part in (upper, lower))
 
 
-def _real_pair(grid: Grid, separation: float, width: float) -> tuple[np.ndarray, np.ndarray]:
+def _real_pair(grid: Grid, separation: float) -> tuple[np.ndarray, np.ndarray]:
     """The float64 samples of :func:`orthogonal_pair`'s ``(upper, lower)``, with its checks.
 
     Each step is the real part of the complex128 step it stands for, which
@@ -157,8 +148,8 @@ def _real_pair(grid: Grid, separation: float, width: float) -> tuple[np.ndarray,
     """
     if not separation > 0:
         raise ValueError(f"separation must be positive, got {separation}")
-    g_up = _gaussian_samples(grid, +separation / 2, width)
-    g_lo = _gaussian_samples(grid, -separation / 2, width)
+    g_up = _gaussian_samples(grid, +separation / 2)
+    g_lo = _gaussian_samples(grid, -separation / 2)
     h = grid.spacing
     # summed pairwise as complex128, as modes.inner sums: float64 groups the terms otherwise
     overlap = h * np.add.reduce((g_up * g_lo).astype(np.complex128)).real
@@ -245,7 +236,7 @@ def symmetric_window(grid: Grid, halfwidth: float) -> DetectorWindow:
 # Detector-geometry calibration
 # ---------------------------------------------------------------------------
 
-#: Scan box: separations and window half-widths in units of sigma.
+#: Scan box: separations and window half-widths.
 CALIBRATION_SEPARATIONS = np.linspace(0.5, 6.0, 32)
 CALIBRATION_HALFWIDTHS = np.linspace(0.1, 4.0, 64)
 
@@ -266,20 +257,19 @@ class CalibrationResult:
     contrast: float
     p_in_constructive: float
     p_in_destructive: float
-    sigma: float
 
     def to_json_dict(self) -> dict:
         return {
-            "d_over_sigma": self.separation / self.sigma,
-            "window_halfwidth_over_sigma": self.window.halfwidth / self.sigma,
+            "d_over_sigma": self.separation,
+            "window_halfwidth_over_sigma": self.window.halfwidth,
             "contrast": self.contrast,
         }
 
 
-def calibrate(grid: Grid, sigma: float) -> CalibrationResult:
+def calibrate(grid: Grid) -> CalibrationResult:
     """Grid-search separation and window half-width for maximum contrast.
 
-    Scans ``d/sigma`` over ``CALIBRATION_SEPARATIONS`` and centered
+    Scans the separation over ``CALIBRATION_SEPARATIONS`` and centered
     windows with half-width over ``CALIBRATION_HALFWIDTHS``; candidate
     geometries whose packets do not fit the grid are skipped.  Ties keep
     the first candidate in scan order, so the result is deterministic.
@@ -298,16 +288,15 @@ def calibrate(grid: Grid, sigma: float) -> CalibrationResult:
     inv_sqrt2 = 1 / math.sqrt(2)
     # the profiles' cumulative sums, 0 before the first cell
     cum0, cum_pi = np.zeros(grid.n_points + 1), np.zeros(grid.n_points + 1)
-    for d_over_sigma in CALIBRATION_SEPARATIONS:
-        separation = float(d_over_sigma * sigma)
+    for separation in CALIBRATION_SEPARATIONS.tolist():
         try:
-            upper, lower = _real_pair(grid, separation, sigma)
+            upper, lower = _real_pair(grid, separation)
         except (TruncationError, ConditioningError):
             continue
         if windows is None:
             # resolved at the first pair that fits, not before the scan: on a
             # grid too small for any pair the scan must end in CalibrationError
-            windows = [symmetric_window(grid, float(w * sigma)) for w in CALIBRATION_HALFWIDTHS]
+            windows = [symmetric_window(grid, w) for w in CALIBRATION_HALFWIDTHS.tolist()]
             i_lo, i_hi = np.array([window_cells(grid, w) for w in windows]).T
         # recombine(pair, 0.0) is re + 0i, and its density |re + 0i|**2 is re * re
         re = inv_sqrt2 * upper + inv_sqrt2 * lower
@@ -323,7 +312,7 @@ def calibrate(grid: Grid, sigma: float) -> CalibrationResult:
         k = int(np.argmax(contrast))
         if best is None or contrast[k] > best.contrast:
             best = CalibrationResult(
-                separation, windows[k], float(contrast[k]), float(p0[k]), float(p_pi[k]), sigma
+                separation, windows[k], float(contrast[k]), float(p0[k]), float(p_pi[k])
             )
     # written so that a NaN contrast fails the gate too
     if best is None or not best.contrast >= MIN_USABLE_CONTRAST:
@@ -339,29 +328,28 @@ def calibrate(grid: Grid, sigma: float) -> CalibrationResult:
 # Frozen defaults
 # ---------------------------------------------------------------------------
 
-# One entry, like the pair's: one sigma is asked for many times; callers only read it.
-@functools.lru_cache(maxsize=1, typed=True)
-def _defaults(sigma: float) -> tuple[dict, Grid]:
+# Read once; callers only read it.
+@functools.cache
+def _defaults() -> tuple[dict, Grid]:
     data = json.loads((resources.files(__package__) / "calibration" / "defaults.json").read_text())
-    return data, Grid(data["r_min"] * sigma, data["r_max"] * sigma, data["n_points"])
+    return data, Grid(data["r_min"], data["r_max"], data["n_points"])
 
 
-def default_grid(sigma: float = 1.0) -> Grid:
-    """The grid the frozen calibration was produced on, scaled by ``sigma``.
+def default_grid() -> Grid:
+    """The grid the frozen calibration was produced on.
 
-    Read once per sigma: calls in a row return one grid object, a shared basis.
+    Read once: every call returns one grid object, a shared basis.
     """
-    return _defaults(sigma)[1]
+    return _defaults()[1]
 
 
-def default_calibration(sigma: float = 1.0) -> CalibrationResult:
+def default_calibration() -> CalibrationResult:
     """Frozen calibrated geometry on :func:`default_grid` (recomputable via :func:`calibrate`)."""
-    data, grid = _defaults(sigma)
+    data, grid = _defaults()
     return CalibrationResult(
-        separation=data["d_over_sigma"] * sigma,
-        window=symmetric_window(grid, data["window_halfwidth_over_sigma"] * sigma),
+        separation=data["d_over_sigma"],
+        window=symmetric_window(grid, data["window_halfwidth_over_sigma"]),
         contrast=data["contrast"],
         p_in_constructive=data["p_in_constructive"],
         p_in_destructive=data["p_in_destructive"],
-        sigma=sigma,
     )

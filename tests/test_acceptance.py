@@ -188,7 +188,7 @@ def test_criterion_4_unitarity():
 def test_criterion_5_wavepacket_norm_preservation():
     grid = default_grid()
     cal = default_calibration()
-    pair = orthogonal_pair(grid, cal.separation, 1.0)
+    pair = orthogonal_pair(grid, cal.separation)
     worst_norm = max(
         abs(recombine(pair, phi).norm - 1.0) for phi in SWEEP_64
     )
@@ -202,8 +202,8 @@ def test_criterion_5_wavepacket_norm_preservation():
         p_out = probability(psi, window_projector("out", grid, left, right))
         completeness = max(completeness, abs(p_in + p_out - 1.0))
 
-    g_up = gaussian(grid, +cal.separation / 2, 1.0)
-    g_lo = gaussian(grid, -cal.separation / 2, 1.0)
+    g_up = gaussian(grid, +cal.separation / 2)
+    g_lo = gaussian(grid, -cal.separation / 2)
     s = inner(g_up, g_lo).real
     raw_dev = 0.0
     for phi in SWEEP_64:
@@ -257,7 +257,7 @@ def _zero_separation_supremum() -> float:
 def test_criterion_6_window_discrimination():
     grid = default_grid()
     cal = default_calibration()
-    pair = orthogonal_pair(grid, cal.separation, 1.0)
+    pair = orthogonal_pair(grid, cal.separation)
     window = window_projector("in", grid, cal.window)
     p_in_0 = probability(recombine(pair, 0.0), window)
     p_in_pi = probability(recombine(pair, math.pi), window)
@@ -368,11 +368,11 @@ def test_criterion_9_grid_convergence():
     worst = 0.0
     for phi in (0.0, math.pi):
         coarse_p = probability(
-            recombine(orthogonal_pair(grid, cal.separation, 1.0), phi),
+            recombine(orthogonal_pair(grid, cal.separation), phi),
             window_projector("in", grid, cal.window),
         )
         fine_p = probability(
-            recombine(orthogonal_pair(fine, cal.separation, 1.0), phi),
+            recombine(orthogonal_pair(fine, cal.separation), phi),
             window_projector("in", fine, cal.window),
         )
         worst = max(worst, abs(coarse_p - fine_p))

@@ -87,7 +87,7 @@ class TestBuildInitial:
 
     def test_one_read_only_state_for_every_config(self, mz_config, density_config):
         state = build_initial(mz_config)
-        other = ScenarioConfig(VARIANT_DENSITY, (0.5,), trials=7, seed=11, sigma=2.5)
+        other = ScenarioConfig(VARIANT_DENSITY, (0.5,), trials=7, seed=11)
         for config in (mz_config, density_config, other):
             assert build_initial(config) is state
         assert state == CompositeState(1 / math.sqrt(2), 1 / math.sqrt(2), make_state([("in", 1.0)]))
@@ -574,12 +574,6 @@ class TestScenarioConfig:
     def test_non_finite_phase_rejected(self, phi):
         with pytest.raises(ValueError, match="phases must be finite"):
             ScenarioConfig(variant=VARIANT_MACH_ZEHNDER, phases=(0.0, phi))
-
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("variant", [VARIANT_MACH_ZEHNDER, VARIANT_DENSITY])
-    def test_sigma_must_be_positive_and_finite(self, variant, sigma):
-        with pytest.raises(ValueError, match="sigma must be a positive finite number"):
-            ScenarioConfig(variant=variant, phases=(0.0,), sigma=sigma)
 
     def test_default_sweep_contains_exact_endpoints(self):
         phases = default_phase_sweep(64)

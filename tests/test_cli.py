@@ -326,12 +326,10 @@ class TestDensityCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv, extra, rows",
-        [((), {}, 129), (("--points", "65"), {}, 65), ((), {"points": 64}, 64)],
-        ids=["n-points", "points-flag-wins", "points-key-wins"],
+        "argv, rows", [((), 129), (("--points", "65"), 65)], ids=["n-points", "points-flag-wins"]
     )
-    def test_a_record_n_points_sets_the_grid_size(self, tmp_path, argv, extra, rows):
-        record = {**json.loads(DEFAULTS.read_text()), "n_points": 129, **extra}
+    def test_a_record_n_points_sets_the_grid_size(self, tmp_path, argv, rows):
+        record = {**json.loads(DEFAULTS.read_text()), "n_points": 129}
         config, out = tmp_path / "record.json", tmp_path / "density.csv"
         config.write_text(json.dumps(record))
         assert cli.main(["density", *argv, "--config", str(config), "--out", str(out)]) == 0
@@ -352,6 +350,45 @@ def test_the_frozen_record_as_config_changes_nothing(tmp_path, capsys, command, 
     for config in ([], ["--config", str(DEFAULTS)]):
         out = tmp_path / f"out{len(outputs)}"
         assert cli.main([command, *config, "--out", str(out)]) == code
+        outputs.append((out.read_bytes(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+
+
+#: Each number a config file can give under a flag's name or a record's key.
+BOTH_NAMES = {
+    "density-points": ("density", {"points": 100, "n_points": 200}),
+    "density-separation": ("density", {"separation": 1.0, "d_over_sigma": 3.0}),
+    "density-halfwidth": ("density", {"halfwidth": 1.0, "window_halfwidth_over_sigma": 2.0}),
+    "calibrate-points": ("calibrate", {"points": 100, "n_points": 200}),
+}
+
+
+@pytest.mark.parametrize("command, config", BOTH_NAMES.values(), ids=BOTH_NAMES.keys())
+def test_a_config_giving_one_number_under_both_names_is_refused(tmp_path, capsys, command, config):
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert all(repr(key) in err for key in config)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [
+        ("--points", "100", "points"), ("--points", "100", "n_points"),
+        ("--separation", "1.0", "separation"), ("--separation", "1.0", "d_over_sigma"),
+        ("--halfwidth", "0.5", "halfwidth"), ("--halfwidth", "0.5", "window_halfwidth_over_sigma"),
+    ],
+)
+def test_a_flag_overrides_a_config_value_under_either_name(tmp_path, capsys, flag, value, key):
+    outputs = []
+    for config in ({}, {key: 200 if "points" in key else 3.0}):
+        path, out = tmp_path / "config.json", tmp_path / f"out{len(outputs)}"
+        path.write_text(json.dumps(config))
+        argv = ["density", "--verify", flag, value, "--config", str(path), "--out", str(out)]
+        assert cli.main(argv) == 0
         outputs.append((out.read_bytes(), capsys.readouterr()))
     assert outputs[0] == outputs[1]
 
@@ -453,6 +490,10 @@ class TestValidateCommand:
         ("validate", "--circuit", "shiekh", "--seed", "1"),
         ("validate", "--circuit", "shiekh", "--format", "json"),
         ("validate", "--circuit", "shiekh", "--config", "/nonexistent"),
+        # lengths are in units of the packet width: there is no width to set
+        ("audit", "--variant", "mach-zehnder", "--sigma", "1"),
+        ("density", "--sigma", "1"),
+        ("calibrate", "--sigma", "1"),
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
@@ -467,17 +508,16 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
     "argv, config, message",
     [
         (("audit", "--variant", "mach-zehnder", "--seed", "-1"), None, "seed"),
-        (("audit", "--variant", "mach-zehnder", "--sigma", "nan"), None, "sigma"),
         (("audit",), {"variant": "mach-zehnder", "trials": "x"}, "'trials'"),
         (("audit",), {"variant": "mach-zehnder", "seed": [1]}, "'seed'"),
-        (("density",), {"sigma": [1]}, "'sigma'"),
-        (("density", "--sigma", "0"), None, "sigma"),
+        (("density",), {"separation": [1]}, "'separation'"),
+        (("density", "--separation", "0"), None, "separation"),
         (("density", "--separation", "-1"), None, "separation"),
         (("density", "--phi", "nan"), None, "phase"),
         (("density", "--r-min=-inf"), None, "finite"),
         (("audit",), {"variant": "mach-zehnder", "trials": 2.7}, "'trials'"),
         (("audit",), {"variant": "mach-zehnder", "trials": True}, "'trials'"),
-        (("density",), {"sigma": True}, "'sigma'"),
+        (("density",), {"separation": True}, "'separation'"),
         (("density", "--halfwidth", "inf"), None, "halfwidth"),
         (("density", "--halfwidth=-5"), None, "halfwidth"),
         (("density", "--halfwidth", "0"), None, "halfwidth"),
@@ -492,23 +532,26 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
         (("density", "--verify"), {"window_halfwidth_over_sigma": 100},
          "reaches outside the grid"),
         (("density", "--r-min=-1e308", "--r-max", "1e308"), None, "finite"),
+        (("density", "--r-min=-5e-324", "--r-max", "5e-324"), None, "spacing underflows"),
         (("audit", "--variant", "mach-zehnder", "--trials", "1000000000000"), None, "trials"),
         (("audit",), {"variant": "mach-zehnder", "trials": MAX_TRIALS + 1}, "trials"),
         (("audit", "--variant", "mach-zehnder", "--phi-sweep", "1000000000000"), None,
          "phase sweep"),
-        # every sample of a packet this narrow underflows to 0: normalizing it was 0/0
-        (("density", "--sigma", "0.001", "--r-min", "-8", "--r-max", "8", "--points", "64",
-          "--separation", "0.003", "--halfwidth", "0.5"), None, "sigma=0.001"),
-        (("density", "--sigma", "0.001", "--r-min", "-8", "--r-max", "8", "--points", "64",
-          "--separation", "0.003", "--halfwidth", "0.5", "--format", "json"), None,
-         "sigma=0.001"),
-        (("calibrate", "--sigma", "0.001", "--r-min", "-8", "--r-max", "8", "--points", "64"),
-         None, "sigma=0.001"),
+        # a grid this coarse samples a packet only where it has underflowed to 0:
+        # normalizing it was 0/0
+        (("density", "--r-min", "-8000", "--r-max", "8000", "--points", "64"), None,
+         "not resolved by the grid spacing 250.0"),
+        (("density", "--r-min", "-8000", "--r-max", "8000", "--points", "64",
+          "--format", "json"), None, "not resolved by the grid spacing 250.0"),
+        (("calibrate", "--r-min", "-8000", "--r-max", "8000", "--points", "64"), None,
+         "not resolved by the grid spacing 250.0"),
+        # a squared offset on the grid overflows the packet's exponent
+        (("density", "--r-min=-1e155", "--r-max", "1e155"), None, "leaves the double range"),
+        (("calibrate", "--r-min=-1e155", "--r-max", "1e155"), None, "leaves the double range"),
         # a null is a value, refused as one, not an unset setting
-        (("audit",), {"variant": "mach-zehnder", "sigma": None},
-         "'sigma' must be float, got None"),
-        (("density",), {"sigma": None}, "'sigma' must be float, got None"),
-        (("calibrate",), {"sigma": None}, "'sigma' must be float, got None"),
+        (("audit",), {"variant": "mach-zehnder", "seed": None}, "'seed' must be int, got None"),
+        (("density",), {"halfwidth": None}, "'halfwidth' must be float, got None"),
+        (("calibrate",), {"points": None}, "'points' must be int, got None"),
         (("density",), {"r_min": None}, "'r_min' must be float, got None"),
         (("calibrate",), {"r_max": None}, "'r_max' must be float, got None"),
         # a config key the command does not take
@@ -516,30 +559,35 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
          "audit has no setting 'trails'; did you mean 'trials'?"),
         (("density", "--verify"), {"separaton": 3.0},
          "density has no setting 'separaton'; did you mean 'separation'?"),
-        (("calibrate",), {"sigam": 2.0},
-         "calibrate has no setting 'sigam'; did you mean 'sigma'?"),
+        (("calibrate",), {"ponits": 128},
+         "calibrate has no setting 'ponits'; did you mean 'points'?"),
         (("audit",), {"variant": "mach-zehnder", "points": 128}, "audit has no setting 'points'"),
         (("density",), {"seed": 1}, "density has no setting 'seed'"),
         (("calibrate",), {"trials": 10}, "calibrate has no setting 'trials'"),
         (("density",), {"verify": True}, "density has no setting 'verify'"),
+        (("audit",), {"variant": "mach-zehnder", "sigma": 1.0}, "audit has no setting 'sigma'"),
+        (("density",), {"sigma": 1.0}, "density has no setting 'sigma'"),
+        (("calibrate",), {"sigma": 1.0}, "calibrate has no setting 'sigma'"),
     ],
     ids=[
-        "audit-seed-negative", "audit-sigma-nan", "audit-config-trials-string",
-        "audit-config-seed-list", "density-config-sigma-list", "density-sigma-zero",
+        "audit-seed-negative", "audit-config-trials-string",
+        "audit-config-seed-list", "density-config-separation-list", "density-separation-zero",
         "density-separation-negative", "density-phi-nan", "density-r-min-infinite",
-        "audit-config-trials-fractional", "audit-config-trials-bool", "density-config-sigma-bool",
+        "audit-config-trials-fractional", "audit-config-trials-bool", "density-config-separation-bool",
         "density-halfwidth-inf", "density-halfwidth-negative", "density-halfwidth-zero",
         "density-halfwidth-nan", "density-config-halfwidth-negative",
         "density-halfwidth-cells-overflow", "density-config-halfwidth-cells-overflow",
         "density-verify-window-past-grid", "density-verify-config-window-past-grid",
-        "density-span-overflows",
+        "density-span-overflows", "density-spacing-underflows",
         "audit-trials-past-cap", "audit-config-trials-past-cap", "audit-phi-sweep-past-cap",
         "density-packet-unresolved", "density-json-packet-unresolved",
-        "calibrate-packet-unresolved", "audit-config-sigma-null", "density-config-sigma-null",
-        "calibrate-config-sigma-null", "density-config-r-min-null", "calibrate-config-r-max-null",
+        "calibrate-packet-unresolved", "density-exponent-overflows", "calibrate-exponent-overflows",
+        "audit-config-seed-null", "density-config-halfwidth-null",
+        "calibrate-config-points-null", "density-config-r-min-null", "calibrate-config-r-max-null",
         "audit-config-misspelt-key", "density-config-misspelt-key",
         "calibrate-config-misspelt-key", "audit-config-density-key", "density-config-audit-key",
         "calibrate-config-audit-key", "density-config-flag-key",
+        "audit-config-sigma", "density-config-sigma", "calibrate-config-sigma",
     ],
 )
 def test_bad_value_ends_in_an_error_line(tmp_path, argv, config, message):
@@ -582,36 +630,24 @@ def test_deeply_nested_input_ends_in_an_error_line(tmp_path, argv, text):
     assert not (tmp_path / "out").exists()
 
 
-SIGMA_COMMANDS = pytest.mark.parametrize(
-    "argv",
-    [("audit", "--variant", "shiekh-density", "--phi-sweep", "2", "--trials", "1"),
-     ("density",), ("calibrate",)],
-    ids=["audit", "density", "calibrate"],
-)
-
-
 @pytest.mark.parametrize(
-    "sigma", ["1e300", "1e155", "1e154", "2e153", "1e-155", "1e-160", "1e-300"]
+    "argv",
+    [
+        ("audit", "--variant", "mach-zehnder", "--phi-sweep", "4", "--trials", "100"),
+        ("density", "--points", "64", "--verify"),
+        ("validate", "--circuit", "canceller"),
+        ("calibrate", "--points", "64"),
+        ("density", "--separation", "-1"),
+    ],
+    ids=["audit", "density", "validate", "calibrate", "density-bad-value"],
 )
-@SIGMA_COMMANDS
-def test_a_sigma_outside_the_double_range_ends_in_one_error_line(tmp_path, argv, sigma):
-    # the packet's exponent (r - center)**2 / (4 sigma**2) overflows, or
-    # sigma**2 is subnormal (1e-155, 1e-160) or underflows to 0 (1e-300);
-    # 2e153 only overflowed a squared offset
-    result = run_cli(*argv, "--sigma", sigma, "--out", str(tmp_path / "out"))
-    assert result.returncode == 1
-    assert len(result.stderr.splitlines()) == 1
-    assert result.stderr.startswith("error:") and f"sigma={float(sigma)}" in result.stderr
-    assert not (tmp_path / "out").exists()
-
-
-@SIGMA_COMMANDS
-def test_a_sigma_whose_square_is_just_normal_still_runs(tmp_path, argv):
-    # 2e-154 squared is 4e-308, just above the smallest normal double 2.2e-308
-    result = run_cli(*argv, "--sigma", "2e-154", "--out", str(tmp_path / "out"))
-    assert result.returncode == (2 if argv == ("calibrate",) else 0)  # calibrate misses its target
-    assert result.stderr == ""
-    assert (tmp_path / "out").exists()
+def test_a_leading_double_dash_runs_the_same_command(tmp_path, capsys, argv):
+    outputs = []
+    for prefix in ([], ["--"]):
+        out = tmp_path / f"out{len(outputs)}"
+        code = cli.main([*prefix, *argv, "--out", str(out)])
+        outputs.append((code, out.read_bytes() if out.exists() else None, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
 
 
 class TestCalibrateCommand:

@@ -32,32 +32,28 @@ options:
 """,
     "audit": """\
 usage: nosignal audit [-h] [--variant {shiekh-density,mach-zehnder}]
-                      [--phi-sweep PHI_SWEEP] [--trials TRIALS]
-                      [--sigma SIGMA] [--seed SEED] [--format FORMAT]
-                      [--out OUT] [--config CONFIG]
+                      [--phi-sweep PHI_SWEEP] [--trials TRIALS] [--seed SEED]
+                      [--format FORMAT] [--out OUT] [--config CONFIG]
 
 options:
   -h, --help            show this help message and exit
   --variant {shiekh-density,mach-zehnder}
   --phi-sweep PHI_SWEEP
   --trials TRIALS
-  --sigma SIGMA
   --seed SEED           random seed (default 0)
   --format FORMAT       output format: json or csv
   --out OUT             output path (default: stdout)
   --config CONFIG       JSON config file; flags override
 """,
     "density": """\
-usage: nosignal density [-h] [--phi PHI] [--sigma SIGMA] [--r-min R_MIN]
-                        [--r-max R_MAX] [--points POINTS]
-                        [--separation SEPARATION] [--halfwidth HALFWIDTH]
-                        [--format FORMAT] [--verify] [--out OUT]
-                        [--config CONFIG]
+usage: nosignal density [-h] [--phi PHI] [--r-min R_MIN] [--r-max R_MAX]
+                        [--points POINTS] [--separation SEPARATION]
+                        [--halfwidth HALFWIDTH] [--format FORMAT] [--verify]
+                        [--out OUT] [--config CONFIG]
 
 options:
   -h, --help            show this help message and exit
   --phi PHI             0, pi, or radians (default: both)
-  --sigma SIGMA
   --r-min R_MIN
   --r-max R_MAX
   --points POINTS
@@ -77,12 +73,11 @@ options:
   --out OUT          output path (default: stdout)
 """,
     "calibrate": """\
-usage: nosignal calibrate [-h] [--sigma SIGMA] [--r-min R_MIN] [--r-max R_MAX]
+usage: nosignal calibrate [-h] [--r-min R_MIN] [--r-max R_MAX]
                           [--points POINTS] [--out OUT] [--config CONFIG]
 
 options:
   -h, --help       show this help message and exit
-  --sigma SIGMA
   --r-min R_MIN
   --r-max R_MAX
   --points POINTS
@@ -103,6 +98,8 @@ USAGE_ERRORS = {
     ),
     (): "error: the following arguments are required: command\n",
 }
+# a leading -- changes none of them: "nosignal --" alone is bare "nosignal"
+USAGE_ERRORS.update({("--", *argv): text for argv, text in list(USAGE_ERRORS.items())})
 
 
 @pytest.mark.parametrize("command", list(HELP), ids=lambda c: c or "top-level")
@@ -120,6 +117,15 @@ def test_usage_error_text_is_pinned(capsys, argv):
     assert cli.main(list(argv)) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", USAGE_ERRORS[argv])
+
+
+@pytest.mark.parametrize("command", [c for c in HELP if c])
+def test_a_leading_double_dash_changes_no_help_text(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["--", command, "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr() == (HELP[command], "")
 
 
 @pytest.mark.parametrize("command", [None, "audit"], ids=["every-command", "audit-only"])

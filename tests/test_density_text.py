@@ -103,8 +103,8 @@ def test_a_mirrored_profile_equals_the_reference(fmt):
     # densities are palindromes, so each column has about half as many magnitudes
     from nosignal import wavepacket
 
-    grid = wavepacket.default_grid(1.0)
-    pair = wavepacket.orthogonal_pair(grid, 2.0, 1.0)
+    grid = wavepacket.default_grid()
+    pair = wavepacket.orthogonal_pair(grid, 2.0)
     columns = [
         (f"density_{phi}", wavepacket.recombine(pair, phi).density)
         for phi in (0.0, math.pi, 1.3)
@@ -153,9 +153,9 @@ from nosignal import cli, wavepacket
 from test_density_text import _grid_and_columns, _reference_density_text
 
 cases = []
-for grid in (wavepacket.default_grid(1.0), wavepacket.Grid(-10.0, 14.0, 4097),
+for grid in (wavepacket.default_grid(), wavepacket.Grid(-10.0, 14.0, 4097),
              wavepacket.Grid(-12.0, 12.0, 1000)):
-    pair = wavepacket.orthogonal_pair(grid, 2.0, 1.0)
+    pair = wavepacket.orthogonal_pair(grid, 2.0)
     cases.append((grid, [(str(phi), wavepacket.recombine(pair, phi).density)
                          for phi in (0.0, math.pi, 1.3)]))
 rng = np.random.default_rng(29)

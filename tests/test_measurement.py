@@ -57,7 +57,7 @@ def calibration():
 
 @pytest.fixture(scope="module")
 def pair(grid, calibration):
-    return orthogonal_pair(grid, calibration.separation, 1.0)
+    return orthogonal_pair(grid, calibration.separation)
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +124,7 @@ class TestProbability:
     def test_input_gate_holds_both_kinds_to_one_tolerance(self, grid):
         # a wavefunction whose norm is off by 2e-8 and a mode state off by
         # 2e-7 are both rejected; states well inside the gate are accepted
-        psi = gaussian(grid, 0.0, 1.0)
+        psi = gaussian(grid, 0.0)
         window = window_projector("in", grid, DetectorWindow(-1.0, 1.0))
         modes = [("u", INV_SQRT2), ("l", INV_SQRT2)]
         u = mode_projector("u", ("u", "l"), "u")
@@ -140,7 +140,7 @@ class TestProbability:
 
     def test_input_gate_holds_on_every_call(self, grid):
         # the norm is kept with the state; the gate still reads it each time
-        psi = gaussian(grid, 0.0, 1.0)
+        psi = gaussian(grid, 0.0)
         window = window_projector("in", grid, DetectorWindow(-1.0, 1.0))
         stretched = State(grid, psi.amplitudes * 1.01)
         modes = make_state([("u", 1.0), ("l", 1.0)])
@@ -249,7 +249,7 @@ class TestOneAllocation:
         modes = make_state([("u", 0.6j), ("l", 0.8)])
         h = grid.spacing
         d = calibration.separation
-        g_up, g_lo = (gaussian(grid, x, 1.0).amplitudes for x in (d / 2, -d / 2))
+        g_up, g_lo = (gaussian(grid, x).amplitudes for x in (d / 2, -d / 2))
         even, odd = 1.0 * g_up + 1.0 * g_lo, 1.0 * g_up + -1.0 * g_lo
         even = even / math.sqrt(h * float(np.sum(np.abs(even) ** 2)))
         odd = odd / math.sqrt(h * float(np.sum(np.abs(odd) ** 2)))
@@ -259,7 +259,7 @@ class TestOneAllocation:
             (recombine(pair, 0.7), [up, lo], INV_SQRT2 * up.amplitudes + c * lo.amplitudes),
             (reduce(psi, window), [psi], scaled),
             (reduce(modes, mode_projector("u", modes.basis, "u")), [modes], [1j, 0.0]),
-            (gaussian(grid, 0.25, 1.0), [], raw / math.sqrt(h * float(np.sum(raw * raw)))),
+            (gaussian(grid, 0.25), [], raw / math.sqrt(h * float(np.sum(raw * raw)))),
             (up, [lo], INV_SQRT2 * even + INV_SQRT2 * odd),
             (lo, [up], INV_SQRT2 * even + -INV_SQRT2 * odd),
         ]
@@ -355,7 +355,7 @@ class TestReduce:
     def test_zero_norm_reduction_rejected(self, grid):
         # a packet fully outside the counter: conditioning on a click is
         # meaningless, the no-fire branch must use the complement instead
-        psi = gaussian(grid, 5.0, 1.0)
+        psi = gaussian(grid, 5.0)
         far_window = window_projector("in", grid, DetectorWindow(-12.0, -6.0))
         with pytest.raises(ZeroNormReductionError):
             reduce(psi, far_window)
@@ -676,7 +676,7 @@ class TestSampling:
             assert shot == dict(zip(pset.labels, first))
 
     def test_certain_outcome(self, grid):
-        psi = gaussian(grid, 0.0, 1.0)
+        psi = gaussian(grid, 0.0)
         pset = pair_partition(DetectorWindow(-6.0, 6.0), grid)
         for seed in range(25):
             assert sample_outcomes(psi, pset, seed=seed, n_trials=1) == {"in": 1, "out": 0}

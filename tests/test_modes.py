@@ -131,8 +131,8 @@ def _made_every_way(v) -> list[tuple[str, State]]:
     for basis, state in (("cells", cells), ("modes", modes)):
         made.append((f"combine-{basis}", combine(state, state, 0.6, 0.8j)))
         made.append((f"reduce-{basis}", reduce(state, Projector("p", state.basis, ((10, 30),)))))
-    made.append(("gaussian", gaussian(PACKET_GRID, 0.5, 1.0)))
-    made.append(("recombine", recombine(orthogonal_pair(PACKET_GRID, 2.0, 1.0), 0.7)))
+    made.append(("gaussian", gaussian(PACKET_GRID, 0.5)))
+    made.append(("recombine", recombine(orthogonal_pair(PACKET_GRID, 2.0), 0.7)))
     return made
 
 

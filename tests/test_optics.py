@@ -172,7 +172,7 @@ class TestApply:
             apply(splitter_circuit(0.0), make_state([("elsewhere", 1.0)]))
 
     def test_grid_state_refused(self):
-        packet = gaussian(Grid(-8.0, 8.0, 64), 0.0, 1.0)
+        packet = gaussian(Grid(-8.0, 8.0, 64), 0.0)
         with pytest.raises(ValueError, match="mode states"):
             apply(splitter_circuit(0.0), packet)
 

@@ -53,12 +53,12 @@ def grid():
 @pytest.fixture(scope="module")
 def calibrated_pair(grid):
     cal = default_calibration()
-    return orthogonal_pair(grid, cal.separation, 1.0)
+    return orthogonal_pair(grid, cal.separation)
 
 
 def _raw_overlap(grid, d):
     """Inner product of the displaced Gaussians before orthogonalization."""
-    return inner(gaussian(grid, d / 2, 1.0), gaussian(grid, -d / 2, 1.0)).real
+    return inner(gaussian(grid, d / 2), gaussian(grid, -d / 2)).real
 
 
 def _in_window(psi, window):
@@ -117,39 +117,46 @@ class TestGrid:
         with pytest.raises(ValueError, match="finite"):
             Grid(r_min, r_max, 64)
 
+    @pytest.mark.parametrize("r_min, r_max", [(-5e-324, 5e-324), (0.0, 5e-324)])
+    def test_a_span_too_narrow_for_its_cells_rejected(self, r_min, r_max):
+        # the span is a few subnormals: divided into 64 cells it is 0
+        with pytest.raises(ValueError, match="spacing underflows to 0"):
+            Grid(r_min, r_max, 64)
+
 
 class TestGaussian:
     def test_normalized_on_modest_grid(self):
-        wf = gaussian(Grid(-10.0, 10.0, 2048), 0.0, 1.0)
+        wf = gaussian(Grid(-10.0, 10.0, 2048), 0.0)
         assert abs(wf.norm - 1.0) <= 1e-8
 
     def test_peak_density_matches_normal_pdf(self):
-        wf = gaussian(Grid(-10.0, 10.0, 2049), 0.0, 1.0)
+        wf = gaussian(Grid(-10.0, 10.0, 2049), 0.0)
         peak = float(wf.density[2049 // 2])
         assert peak == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-6)
 
     def test_truncated_packet_rejected(self):
         with pytest.raises(TruncationError):
-            gaussian(Grid(-10.0, 10.0, 2048), 8.0, 1.0)
-
-    def test_sigma_must_be_positive(self, grid):
-        with pytest.raises(ValueError):
-            gaussian(grid, 0.0, -1.0)
+            gaussian(Grid(-10.0, 10.0, 2048), 8.0)
 
     def test_packet_between_the_samples_refused(self):
-        # sigma far below the spacing: every sample underflows to 0
-        with pytest.raises(ValueError, match="sigma=0.001.*spacing 0.25"):
-            gaussian(Grid(-8.0, 8.0, 64), 0.0015, 0.001)
+        # a spacing of 250 packet widths: every sample underflows to 0
+        with pytest.raises(ValueError, match="center=1.5 is not resolved.*spacing 250.0"):
+            gaussian(Grid(-8000.0, 8000.0, 64), 1.5)
+
+    def test_exponent_past_the_double_range_refused(self):
+        # (r - center)**2 overflows at the grid's far samples
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="leaves the double range"):
+            gaussian(Grid(-1e155, 1e155, 64), 0.0)
 
 
 class TestOrthogonalPair:
     def test_overlap_matches_closed_form_at_6_sigma(self, grid):
-        upper, lower = orthogonal_pair(grid, 6.0, 1.0)
+        upper, lower = orthogonal_pair(grid, 6.0)
         assert _raw_overlap(grid, 6.0) == pytest.approx(math.exp(-4.5), abs=1e-10)
         assert abs(inner(upper, lower)) <= 1e-10
 
     def test_orthonormal_at_2_sigma(self, grid):
-        upper, lower = orthogonal_pair(grid, 2.0, 1.0)
+        upper, lower = orthogonal_pair(grid, 2.0)
         assert abs(inner(upper, lower)) <= 1e-10
         assert abs(upper.norm - 1.0) <= 1e-8
         assert abs(lower.norm - 1.0) <= 1e-8
@@ -158,56 +165,56 @@ class TestOrthogonalPair:
         # the residual mixing is overlap/2 ~ 1.9e-6 at d = 10 sigma, so the
         # pointwise deviation sits just above 1e-6; it falls below 1e-8 by
         # d = 12 sigma
-        upper, _ = orthogonal_pair(grid, 10.0, 1.0)
-        raw = gaussian(grid, 5.0, 1.0)
+        upper, _ = orthogonal_pair(grid, 10.0)
+        raw = gaussian(grid, 5.0)
         dev = float(np.max(np.abs(upper.amplitudes - raw.amplitudes)))
         assert dev == pytest.approx(1.1769099398823287e-06, rel=1e-6)
-        far, _ = orthogonal_pair(grid, 12.0, 1.0)
-        raw_far = gaussian(grid, 6.0, 1.0)
+        far, _ = orthogonal_pair(grid, 12.0)
+        raw_far = gaussian(grid, 6.0)
         assert float(np.max(np.abs(far.amplitudes - raw_far.amplitudes))) <= 1e-8
 
     def test_mirror_symmetry(self, grid):
-        upper, lower = orthogonal_pair(grid, 1.7, 1.0)
+        upper, lower = orthogonal_pair(grid, 1.7)
         np.testing.assert_allclose(upper.amplitudes, lower.amplitudes[::-1], atol=1e-10)
 
     def test_localization_on_own_half_axis(self, grid):
         positive = grid.points > 0
         for d in (0.5, 1.0, 2.0, 4.0):
-            upper, _ = orthogonal_pair(grid, d, 1.0)
+            upper, _ = orthogonal_pair(grid, d)
             mass = grid.spacing * float(np.sum(np.abs(upper.amplitudes[positive]) ** 2))
             assert mass >= 1.0 - _raw_overlap(grid, d)
 
     def test_near_identical_packets_rejected(self, grid):
         with pytest.raises(ConditioningError):
-            orthogonal_pair(grid, 0.05, 1.0)
+            orthogonal_pair(grid, 0.05)
 
     def test_non_positive_or_nan_separation_rejected(self, grid):
         for d in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="separation must be positive"):
-                orthogonal_pair(grid, d, 1.0)
+                orthogonal_pair(grid, d)
 
     def test_same_geometry_returns_the_same_read_only_pair(self, grid):
-        pair = orthogonal_pair(grid, 1.25, 1.0)
-        assert orthogonal_pair(grid, 1.25, 1.0) is pair
+        pair = orthogonal_pair(grid, 1.25)
+        assert orthogonal_pair(grid, 1.25) is pair
         # an equal grid is the same key, whether or not its points were read
         twin = Grid(grid.r_min, grid.r_max, grid.n_points)
         twin.points
-        assert orthogonal_pair(twin, 1.25, 1.0) is pair
+        assert orthogonal_pair(twin, 1.25) is pair
         upper, lower = pair
         assert not upper.amplitudes.flags.writeable
         assert not lower.amplitudes.flags.writeable
 
     def test_other_geometry_returns_another_pair(self, grid):
-        pair = orthogonal_pair(grid, 1.25, 1.0)
-        other_separation = orthogonal_pair(grid, 1.5, 1.0)
+        pair = orthogonal_pair(grid, 1.25)
+        other_separation = orthogonal_pair(grid, 1.5)
         assert other_separation is not pair
         assert _raw_overlap(grid, 1.5) == pytest.approx(math.exp(-(1.5**2) / 8), abs=1e-10)
         fine = Grid(grid.r_min, grid.r_max, 2 * grid.n_points)
-        other_grid = orthogonal_pair(fine, 1.25, 1.0)
+        other_grid = orthogonal_pair(fine, 1.25)
         assert other_grid is not pair
         assert other_grid[0].basis == fine
         # one entry is kept, so returning to the first geometry rebuilds it
-        rebuilt = orthogonal_pair(grid, 1.25, 1.0)
+        rebuilt = orthogonal_pair(grid, 1.25)
         assert rebuilt is not pair
         np.testing.assert_array_equal(rebuilt[0].amplitudes, pair[0].amplitudes)
 
@@ -234,8 +241,8 @@ class TestRecombine:
         # without orthogonalization the norm comes out sqrt(1 + s cos phi):
         # the deviation from 1 is exactly the neglected overlap
         d = 1.5
-        g_up = gaussian(grid, +d / 2, 1.0)
-        g_lo = gaussian(grid, -d / 2, 1.0)
+        g_up = gaussian(grid, +d / 2)
+        g_lo = gaussian(grid, -d / 2)
         s = inner(g_up, g_lo).real
         for phi in SWEEP:
             raw = combine(g_up, g_lo, 1 / math.sqrt(2), np.exp(1j * phi) / math.sqrt(2))
@@ -271,7 +278,7 @@ class TestWindowProbability:
             assert p_in + p_out == pytest.approx(1.0, abs=1e-8)
 
     def test_narrow_window_on_destructive_profile(self, grid):
-        pair = orthogonal_pair(grid, 2.0, 1.0)
+        pair = orthogonal_pair(grid, 2.0)
         psi = recombine(pair, math.pi)
         value = _in_window(psi, DetectorWindow(-0.25, 0.25))
         assert value == pytest.approx(0.003114261876497259, rel=1e-9)
@@ -294,7 +301,7 @@ class TestWindowProbability:
         _in_window(psi, DetectorWindow(grid.r_min - 0.25 * grid.spacing, 0.0))
 
     def test_unnormalized_state_rejected(self, grid):
-        psi = gaussian(grid, 0.0, 1.0)
+        psi = gaussian(grid, 0.0)
         doubled = combine(psi, psi, 1.0, 1.0)
         with pytest.raises(ValueError, match="normalized"):
             _in_window(doubled, DetectorWindow(-1.0, 1.0))
@@ -321,13 +328,13 @@ def _odd_even_rule(grid, halfwidth):
 class TestSymmetricWindow:
     @pytest.mark.parametrize("n_points", [64, 65, 129, 1025, 4096, 4097])
     def test_centred_grid_keeps_the_odd_even_rule(self, n_points):
-        for sigma in (0.3, 1.0, 1.7):
-            g = Grid(-12 * sigma, 12 * sigma, n_points)
-            widths = [float(w * sigma) for w in CALIBRATION_HALFWIDTHS]
+        for scale in (0.3, 1.0, 1.7):
+            g = Grid(-12 * scale, 12 * scale, n_points)
+            widths = [float(w * scale) for w in CALIBRATION_HALFWIDTHS]
             widths += [f * g.spacing for f in (1e-9, 0.25, 0.5, 0.75, 1.0, 1.5, 2.5)]
             for halfwidth in widths:
                 window = symmetric_window(g, halfwidth)
-                assert (window.lo, window.hi) == _odd_even_rule(g, halfwidth), (sigma, halfwidth)
+                assert (window.lo, window.hi) == _odd_even_rule(g, halfwidth), (scale, halfwidth)
 
     @pytest.mark.parametrize(
         "n_points, shift", [(4096, 512), (4096, -512), (4097, 700), (65, -3), (64, 5)]
@@ -350,30 +357,21 @@ class TestSymmetricWindow:
 
 
 class TestFrozenDefaults:
-    """The frozen record is read once per sigma and shared, never changed."""
+    """The frozen record is read once and shared, never changed."""
 
     @staticmethod
     def _record():
         path = resources.files("nosignal") / "calibration" / "defaults.json"
         return json.loads(path.read_text())
 
-    def test_one_grid_object_per_sigma(self):
-        assert default_grid(1.0) is default_grid(1.0)
+    def test_one_grid_object(self):
+        assert default_grid() is default_grid()
         config = ScenarioConfig(variant=VARIANT_DENSITY, phases=(0.0, math.pi))
         assert config.grid is default_grid()
         assert config.window == default_calibration().window
 
-    def test_a_scaled_grid_then_the_unit_grid(self):
-        record = self._record()
-        bounds = (record["r_min"], record["r_max"])
-        assert default_grid(2.0) == Grid(2.0 * bounds[0], 2.0 * bounds[1], record["n_points"])
-        assert default_grid(1.0) == Grid(*bounds, record["n_points"])
-        assert default_grid(2.0) == Grid(2.0 * bounds[0], 2.0 * bounds[1], record["n_points"])
-
     def test_the_calibration_matches_the_record_key_by_key(self):
-        default_calibration(2.0)  # another sigma takes the one cached entry first
         cal, record = default_calibration(), self._record()
-        assert cal.sigma == record["sigma"]
         assert cal.separation == record["d_over_sigma"]
         assert cal.window == symmetric_window(default_grid(), record["window_halfwidth_over_sigma"])
         assert cal.contrast == record["contrast"]
@@ -384,7 +382,7 @@ class TestFrozenDefaults:
 
 class TestCalibrate:
     def test_reproduces_frozen_defaults(self, grid):
-        result = calibrate(grid, 1.0)
+        result = calibrate(grid)
         assert result.separation == FROZEN_SEPARATION
         assert result.window.halfwidth == FROZEN_HALFWIDTH
         assert result.contrast == pytest.approx(FROZEN_CONTRAST, abs=1e-12)
@@ -412,7 +410,7 @@ class TestCalibrate:
     def test_wide_separation_loses_the_central_buildup(self, grid):
         # with the packets far apart the even and odd densities coincide,
         # so no centered window can tell the phases apart
-        pair = orthogonal_pair(grid, 10.0, 1.0)
+        pair = orthogonal_pair(grid, 10.0)
         psi0 = recombine(pair, 0.0)
         psi_pi = recombine(pair, math.pi)
         best = 0.0
@@ -427,7 +425,7 @@ class TestCalibrate:
 
     def test_absurd_grid_fails_calibration(self):
         with pytest.raises(CalibrationError):
-            calibrate(Grid(-2.0, 2.0, 64), 1.0)
+            calibrate(Grid(-2.0, 2.0, 64))
 
     def test_nan_contrast_fails_calibration(self, grid, monkeypatch):
         # a NaN compares false with everything, so it must not pass the gate
@@ -436,20 +434,19 @@ class TestCalibrate:
 
         monkeypatch.setattr(wavepacket, "recombine", nan_profile)
         with pytest.raises(CalibrationError, match="best nan"):
-            calibrate(grid, 1.0)
+            calibrate(grid)
 
     def test_scan_halfwidth_box(self):
         assert CALIBRATION_HALFWIDTHS[0] == pytest.approx(0.1)
         assert CALIBRATION_HALFWIDTHS[-1] == pytest.approx(4.0)
 
 
-def _reference_calibrate(grid, sigma):
+def _reference_calibrate(grid):
     """The calibration scan one window at a time: what ``calibrate`` must equal bit for bit."""
     best = None
-    for d_over_sigma in CALIBRATION_SEPARATIONS:
-        separation = float(d_over_sigma * sigma)
+    for separation in CALIBRATION_SEPARATIONS.tolist():
         try:
-            pair = orthogonal_pair(grid, separation, sigma)
+            pair = orthogonal_pair(grid, separation)
         except (TruncationError, ConditioningError):
             continue
         h = grid.spacing
@@ -459,35 +456,35 @@ def _reference_calibrate(grid, sigma):
             ([0.0], np.cumsum(wavepacket.recombine(pair, math.pi).density))
         ) * h
         for halfwidth in CALIBRATION_HALFWIDTHS:
-            window = symmetric_window(grid, float(halfwidth * sigma))
+            window = symmetric_window(grid, float(halfwidth))
             i_lo, i_hi = window_cells(grid, window)
             p0 = float(cum0[i_hi] - cum0[i_lo])
             p_pi = float(cum_pi[i_hi] - cum_pi[i_lo])
             contrast = min(p0, 1.0 - p_pi)
             if best is None or contrast > best.contrast:
-                best = CalibrationResult(separation, window, contrast, p0, p_pi, sigma)
+                best = CalibrationResult(separation, window, contrast, p0, p_pi)
     if best is None or best.contrast < MIN_USABLE_CONTRAST:
         raise CalibrationError("no scanned geometry reached the minimum contrast")
     return best
 
 
-#: The scans ``calibrate`` is held to its references on, with their sigma.
+#: The scans ``calibrate`` is held to its references on.
 SCAN_GRIDS = pytest.mark.parametrize(
-    "grid, sigma",
+    "grid",
     [
-        (default_grid(), 1.0),
-        (default_grid(2.0), 2.0),
-        (Grid(-12.0, 12.0, 4096), 1.0),  # even cell count
-        (Grid(-7.0, 7.0, 64), 1.0),  # many half-widths snap to one window
+        default_grid(),
+        Grid(-24.0, 24.0, 4097),  # twice as wide, at twice the spacing
+        Grid(-12.0, 12.0, 4096),  # even cell count
+        Grid(-7.0, 7.0, 64),  # many half-widths snap to one window
     ],
-    ids=["default", "default-sigma2", "even-4096", "coarse-64"],
+    ids=["default", "wide-24", "even-4096", "coarse-64"],
 )
 
 
-def _reference_pair(grid, separation, width):
+def _reference_pair(grid, separation):
     """The pair built in complex128 ``State`` algebra: what ``orthogonal_pair`` must equal bit for bit."""
-    g_up = gaussian(grid, +separation / 2, width)
-    g_lo = gaussian(grid, -separation / 2, width)
+    g_up = gaussian(grid, +separation / 2)
+    g_lo = gaussian(grid, -separation / 2)
     overlap = inner(g_up, g_lo).real
     if overlap > MAX_OVERLAP:
         raise ConditioningError(f"raw overlap {overlap}")
@@ -499,32 +496,31 @@ def _reference_pair(grid, separation, width):
     return combine(even, odd, inv_sqrt2, inv_sqrt2), combine(even, odd, inv_sqrt2, -inv_sqrt2)
 
 
-def _built(make, grid, separation, width):
+def _built(make, grid, separation):
     """The pair's amplitude bytes, or the type of error building it raised."""
     try:
-        return tuple(state.amplitudes.tobytes() for state in make(grid, separation, width))
+        return tuple(state.amplitudes.tobytes() for state in make(grid, separation))
     except (TruncationError, ConditioningError) as exc:
         return type(exc)
 
 
 class TestRealPairMatchesStateAlgebra:
     @SCAN_GRIDS
-    def test_every_scanned_pair_bit_for_bit(self, grid, sigma):
+    def test_every_scanned_pair_bit_for_bit(self, grid):
         built = []
-        for d_over_sigma in CALIBRATION_SEPARATIONS:
-            separation = float(d_over_sigma * sigma)
-            got = _built(orthogonal_pair, grid, separation, sigma)
-            assert got == _built(_reference_pair, grid, separation, sigma), d_over_sigma
+        for separation in CALIBRATION_SEPARATIONS.tolist():
+            got = _built(orthogonal_pair, grid, separation)
+            assert got == _built(_reference_pair, grid, separation), separation
             built.append(got)
         assert any(isinstance(got, tuple) for got in built)
 
     @SCAN_GRIDS
-    def test_conditioning_refused_at_the_same_separations(self, grid, sigma):
+    def test_conditioning_refused_at_the_same_separations(self, grid):
         def refused(separation):
-            return _built(_reference_pair, grid, separation, sigma) is ConditioningError
+            return _built(_reference_pair, grid, separation) is ConditioningError
 
         # bisect to two adjacent doubles: the reference refuses the lower, builds the upper
-        lo, hi = 0.01 * sigma, 0.5 * sigma
+        lo, hi = 0.01, 0.5
         assert refused(lo) and not refused(hi)
         while math.nextafter(lo, hi) != hi:
             mid = lo + (hi - lo) / 2
@@ -535,17 +531,17 @@ class TestRealPairMatchesStateAlgebra:
         for _ in range(8):
             separation = math.nextafter(separation, -math.inf)
         for _ in range(18):  # 8 ULPs below the crossing to 8 above it
-            want = _built(_reference_pair, grid, separation, sigma)
-            assert _built(orthogonal_pair, grid, separation, sigma) == want, separation.hex()
+            want = _built(_reference_pair, grid, separation)
+            assert _built(orthogonal_pair, grid, separation) == want, separation.hex()
             separation = math.nextafter(separation, math.inf)
 
 
 class TestCalibrateMatchesScalarScan:
     @SCAN_GRIDS
-    def test_same_result_bit_for_bit(self, grid, sigma):
-        got, want = calibrate(grid, sigma), _reference_calibrate(grid, sigma)
+    def test_same_result_bit_for_bit(self, grid):
+        got, want = calibrate(grid), _reference_calibrate(grid)
         assert got == want
-        for field in ("separation", "contrast", "p_in_constructive", "p_in_destructive", "sigma"):
+        for field in ("separation", "contrast", "p_in_constructive", "p_in_destructive"):
             assert type(getattr(got, field)) is float
         assert (got.window.lo, got.window.hi) == (want.window.lo, want.window.hi)
 
@@ -558,15 +554,15 @@ class TestCalibrateMatchesScalarScan:
         centre[n // 2 - 4 : n // 2 + 5] = 1.0 / math.sqrt(9 * h)
         edges[:4] = edges[-4:] = 1.0 / math.sqrt(8 * h)
 
-        def step_pair(grid, separation, width):
+        def step_pair(grid, separation):
             return (centre + edges) / math.sqrt(2), (centre - edges) / math.sqrt(2)
 
         # calibrate reads the real pair; the reference reads it through a fresh pair cache
         monkeypatch.setattr(wavepacket, "_real_pair", step_pair)
         fresh = functools.lru_cache(maxsize=1, typed=True)(wavepacket._orthogonal_pair.__wrapped__)
         monkeypatch.setattr(wavepacket, "_orthogonal_pair", fresh)
-        got = calibrate(grid, 1.0)
-        assert got == _reference_calibrate(grid, 1.0)
+        got = calibrate(grid)
+        assert got == _reference_calibrate(grid)
         assert got.contrast == pytest.approx(1.0, abs=1e-12)
         assert got.separation == float(CALIBRATION_SEPARATIONS[0])
         assert got.window == symmetric_window(grid, float(CALIBRATION_HALFWIDTHS[0]))
@@ -574,9 +570,9 @@ class TestCalibrateMatchesScalarScan:
     def test_both_refuse_a_grid_no_pair_fits(self):
         grid = Grid(-5.0, 5.0, 200)
         with pytest.raises(CalibrationError):
-            _reference_calibrate(grid, 1.0)
+            _reference_calibrate(grid)
         with pytest.raises(CalibrationError):
-            calibrate(grid, 1.0)
+            calibrate(grid)
 
 
 class TestGridConvergence:
@@ -585,9 +581,9 @@ class TestGridConvergence:
         fine = Grid(grid.r_min, grid.r_max, 2 * grid.n_points)
         for phi in (0.0, math.pi):
             coarse_p = _in_window(
-                recombine(orthogonal_pair(grid, cal.separation, 1.0), phi), cal.window
+                recombine(orthogonal_pair(grid, cal.separation), phi), cal.window
             )
             fine_p = _in_window(
-                recombine(orthogonal_pair(fine, cal.separation, 1.0), phi), cal.window
+                recombine(orthogonal_pair(fine, cal.separation), phi), cal.window
             )
             assert abs(coarse_p - fine_p) <= 1e-6
