@@ -308,15 +308,14 @@ def cmd_density(args) -> int:
         columns = [("density", psi.density)]
         states = {phi: psi}
     if args.verify:  # a window off the grid is refused before the CSV is written
-        from . import measurement
+        from . import audit, measurement
 
-        counter = measurement.window_projector("in", grid, window)
+        counters = measurement.pair_partition(window, grid)
     _write_output(args.out, _density_text(grid, columns, s["format"]))
     if args.verify:
         for phi, psi in states.items():
-            p_in = measurement.probability(psi, counter)
-            sender = {"in": 0.5 * p_in, "out": 0.5 * (1.0 - p_in)}
-            print(json.dumps({"phi": phi, "sender": sender}))
+            state = audit.CompositeState(0.5, 0.5, psi)  # the audit's two equal branches
+            print(json.dumps({"phi": phi, "sender": audit.sender_row(state, counters)}))
     return 0
 
 

@@ -77,9 +77,9 @@ def gaussian(grid: Grid, center: float) -> State:
     The squared amplitude is then the standard normal density about
     ``center``.  Raises :class:`TruncationError` when more than
     ``TRUNCATION_TOL`` of that probability mass falls outside the grid, and
-    ``ValueError`` when the grid spacing is so coarse that no sample of the
-    packet is above 0, or when a squared offset ``(r - center)**2`` on the
-    grid leaves the double range.
+    ``ValueError`` when a squared offset ``(r - center)**2`` on the grid
+    leaves the double range, or when the grid spacing is coarser than the
+    packet width 1, so that the grid does not resolve the packet.
     """
     return State._adopt(grid, _gaussian_samples(grid, center).astype(np.complex128))
 
@@ -107,6 +107,11 @@ def _gaussian_samples(grid: Grid, center: float) -> np.ndarray:
         raise ValueError(
             f"packet at center={center} is not resolved by the grid spacing "
             f"{grid.spacing}: every sample underflows to 0"
+        )
+    if grid.spacing > 1.0:
+        raise ValueError(
+            f"packet at center={center} is not resolved by the grid spacing "
+            f"{grid.spacing}: the spacing is coarser than the packet width 1"
         )
     raw /= scale
     return raw

@@ -15,7 +15,6 @@ separation and every detector region, so criterion 6 holds the calibrated
 window to that optimum instead.
 """
 
-import json
 import math
 import os
 import subprocess
@@ -30,7 +29,6 @@ from nosignal.audit import (
     ScenarioConfig,
     binomial_band,
     build_initial,
-    default_phase_sweep,
     evolve_sender,
     no_signalling_audit,
     receiver_probability,
@@ -86,10 +84,10 @@ def test_criterion_1_no_signalling_identity():
             evolved = evolve_sender(build_initial(config), phi, config)
             worst = max(worst, abs(receiver_probability(evolved) - 0.5))
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-12 and elapsed < 1.0
+    ok = worst == 0.0 and elapsed < 1.0
     report(1, ok, f"analytic receiver deviation {worst:.3e} over both variants, "
                   f"{len(phases)}-phase sweep in {elapsed:.3f}s")
-    assert worst <= 1e-12
+    assert worst == 0.0
     assert elapsed < 1.0
 
 
@@ -121,10 +119,10 @@ def test_criterion_2_measurement_invariance():
             for pset in partitions:
                 after = receiver_probability_after_sender_measurement(evolved, pset)
                 worst = max(worst, abs(after - 0.5))
-    ok = worst <= 1e-8
+    ok = worst == 0.0
     report(2, ok, f"receiver probability after sender measurement: "
                   f"max |p - 1/2| = {worst:.3e} over pair/triple/random partitions")
-    assert worst <= 1e-8
+    assert worst == 0.0
 
 
 def test_criterion_3_mach_zehnder_contrast():

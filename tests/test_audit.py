@@ -10,7 +10,6 @@ from nosignal import audit
 from nosignal.audit import (
     MAX_PHASES,
     MAX_TRIALS,
-    AuditReport,
     CompositeState,
     ScenarioConfig,
     VARIANT_DENSITY,
@@ -33,7 +32,6 @@ from nosignal.measurement import (
     ZeroNormReductionError,
     count_outcomes,
     mode_projector,
-    pair_partition,
     reduce,
     three_counter_partition,
     window_projector,
@@ -71,8 +69,7 @@ def mz_config():
 class TestBuildInitial:
     def test_equal_branch_weights(self, mz_config):
         state = build_initial(mz_config)
-        assert abs(state.receiver_amplitude) ** 2 == pytest.approx(0.5, abs=1e-12)
-        assert abs(state.sender_amplitude) ** 2 == pytest.approx(0.5, abs=1e-12)
+        assert (state.receiver_weight, state.sender_weight) == (0.5, 0.5)
 
     def test_sender_branch_internally_normalized(self, mz_config):
         state = build_initial(mz_config)
@@ -82,24 +79,23 @@ class TestBuildInitial:
 
     def test_total_norm_one(self, mz_config):
         state = build_initial(mz_config)
-        total = abs(state.receiver_amplitude) ** 2 + abs(state.sender_amplitude) ** 2
-        assert total == pytest.approx(1.0, abs=1e-12)
+        assert state.receiver_weight + state.sender_weight == 1.0
 
     def test_one_read_only_state_for_every_config(self, mz_config, density_config):
         state = build_initial(mz_config)
         other = ScenarioConfig(VARIANT_DENSITY, (0.5,), trials=7, seed=11)
         for config in (mz_config, density_config, other):
             assert build_initial(config) is state
-        assert state == CompositeState(1 / math.sqrt(2), 1 / math.sqrt(2), make_state([("in", 1.0)]))
+        assert state == CompositeState(0.5, 0.5, make_state([("in", 1.0)]))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            state.receiver_amplitude = 1.0
+            state.receiver_weight = 1.0
         with pytest.raises(ValueError):
             state.sender_state.amplitudes[0] = 0.0
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_evolving_it_equals_evolving_a_fresh_state(self, variant):
         config = _config(variant, phases=(0.0, 1.1, math.pi))
-        fresh = CompositeState(1 / math.sqrt(2), 1 / math.sqrt(2), make_state([("in", 1.0)]))
+        fresh = CompositeState(0.5, 0.5, make_state([("in", 1.0)]))
         pset = sender_projectors(config)
         for phi in config.phases:
             kept = evolve_sender(build_initial(config), phi, config)
@@ -112,16 +108,16 @@ class TestBuildInitial:
 
 
 class TestEvolveSender:
-    def test_receiver_amplitude_bitwise_unchanged(self, density_config):
+    def test_branch_weights_bitwise_unchanged(self, density_config):
         initial = build_initial(density_config)
         evolved = evolve_sender(initial, math.pi, density_config)
-        assert evolved.receiver_amplitude == initial.receiver_amplitude
-        assert evolved.sender_amplitude == initial.sender_amplitude
+        assert evolved.receiver_weight == initial.receiver_weight
+        assert evolved.sender_weight == initial.sender_weight
 
     def test_total_norm_preserved(self, density_config):
         evolved = evolve_sender(build_initial(density_config), 1.1, density_config)
-        sender = abs(evolved.sender_amplitude) ** 2 * evolved.sender_state.norm ** 2
-        total = abs(evolved.receiver_amplitude) ** 2 + sender
+        sender = evolved.sender_weight * evolved.sender_state.norm ** 2
+        total = evolved.receiver_weight + sender
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_evolving_twice_at_same_phase_is_idempotent(self, density_config):
@@ -146,7 +142,7 @@ class TestReceiverProbability:
         config = _config(variant, phases=default_phase_sweep(64))
         for phi in config.phases:
             evolved = evolve_sender(build_initial(config), phi, config)
-            assert abs(receiver_probability(evolved) - 0.5) <= 1e-12
+            assert receiver_probability(evolved) == 0.5
 
     def test_sender_interference_is_fully_visible(self, mz_config):
         # the sender's own detector rate swings with the phase, full
@@ -207,7 +203,7 @@ def _haar_measurements(draw):
             for g in order
         )
     )
-    return CompositeState(1 / math.sqrt(2), 1 / math.sqrt(2), branch), pset
+    return CompositeState(0.5, 0.5, branch), pset
 
 
 def _collapse_every_outcome(state, sender_set):
@@ -226,12 +222,12 @@ def _same_bits(value, reference) -> bool:
 
 
 class TestSenderMeasurement:
-    def test_nan_receiver_amplitude_is_not_normalized(self):
+    def test_nan_or_negative_weight_is_not_normalized(self):
         config = _config(VARIANT_MACH_ZEHNDER)
         evolved = evolve_sender(build_initial(config), 0.0, config)
-        for receiver in (math.nan, 1.0):
+        for receiver, sender in ((math.nan, 0.5), (0.5, math.nan), (1.0, 0.5), (1.5, -0.5)):
             with pytest.raises(ValueError, match="not normalized"):
-                CompositeState(receiver, evolved.sender_amplitude, evolved.sender_state)
+                CompositeState(receiver, sender, evolved.sender_state)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(measured=_haar_measurements())
@@ -282,9 +278,7 @@ class TestSenderMeasurement:
 
     def test_bad_inputs_raise_as_collapsing_every_outcome_does(self, mz_config):
         pset = sender_projectors(mz_config)
-        unnormalised = CompositeState(
-            1 / math.sqrt(2), 1 / math.sqrt(2), State(("H", "V"), np.array([0.6, 0.6]))
-        )
+        unnormalised = CompositeState(0.5, 0.5, State(("H", "V"), np.array([0.6, 0.6])))
         clash = ProjectorSet(
             (mode_projector("H", ("H", "V"), "H"), mode_projector("receiver", ("H", "V"), "V"))
         )
@@ -323,7 +317,7 @@ class TestSenderMeasurement:
         # cannot be collapsed inside the branch; it adds exactly 0 all the same.
         weight, floor = 1.0 + 5e-9, REDUCTION_EPS * (1.0 - 1e-9)
         branch = State(("H", "V"), np.sqrt([1.0 - floor, floor]))
-        state = CompositeState(1e-5, math.sqrt(weight), branch)
+        state = CompositeState(1e-10, weight, branch)
         pset = ProjectorSet(
             (mode_projector("H", ("H", "V"), "H"), mode_projector("V", ("H", "V"), "V"))
         )
@@ -401,10 +395,9 @@ class TestSenderMeasurement:
             for phi in config.phases:
                 state = evolve_sender(build_initial(config), phi, config)
                 labels, probs = composite_outcomes(state, pset)
-                weight = abs(state.sender_amplitude) ** 2
                 reference = np.append(
-                    weight * pset.probabilities(state.sender_state),
-                    abs(state.receiver_amplitude) ** 2,
+                    state.sender_weight * pset.probabilities(state.sender_state),
+                    state.receiver_weight,
                 )
                 assert labels == (*pset.labels, "receiver")
                 assert probs.dtype == reference.dtype
@@ -437,7 +430,8 @@ class TestAuditReport:
         config = _config(VARIANT_MACH_ZEHNDER, phases=default_phase_sweep(16))
         report = no_signalling_audit(config)
         assert report.verdict == "pass"
-        assert report.max_deviation <= 1e-12
+        assert report.max_deviation == 0.0
+        assert all(row.receiver_analytic == 0.5 for row in report.rows)
 
     def test_renormalising_after_the_canceller_fails_the_audit(self, monkeypatch):
         # The positive control: the step the scheme needs and quantum mechanics
@@ -456,12 +450,12 @@ class TestAuditReport:
             merged = out.amplitude("merged")
             # At phi = pi the merged amplitude is about 1e-16 in doubles, not 0
             # (the splitter's and e^{i pi}'s rounding), so the branch keeps a phase
-            # and both divisions below stay finite; its weight is then ~1e-32 and
+            # and the division below stays finite; its weight is then ~1e-32 and
             # the receiver reads 1.0.
-            sender = state.sender_amplitude * abs(merged)
-            total = math.hypot(abs(state.receiver_amplitude), abs(sender))
+            sender = state.sender_weight * abs(merged) ** 2
+            total = state.receiver_weight + sender
             return CompositeState(
-                state.receiver_amplitude / total,
+                state.receiver_weight / total,
                 sender / total,
                 make_state([("merged", merged / abs(merged))]),
             )
@@ -484,7 +478,8 @@ class TestAuditReport:
     def test_density_audit_passes(self, density_config):
         report = no_signalling_audit(density_config)
         assert report.verdict == "pass"
-        assert report.max_deviation <= 1e-12
+        assert report.max_deviation == 0.0
+        assert all(row.receiver_analytic == 0.5 for row in report.rows)
 
     def test_sender_rows_show_interference(self):
         config = _config(VARIANT_MACH_ZEHNDER)

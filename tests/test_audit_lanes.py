@@ -29,7 +29,6 @@ from nosignal.audit import (
     sender_projectors,
 )
 from nosignal.measurement import count_outcomes, trial_uniforms
-from nosignal.tolerances import ANALYTIC_TOL
 
 
 def serial_audit(config: ScenarioConfig) -> tuple[AuditReport, list[int]]:
@@ -39,7 +38,7 @@ def serial_audit(config: ScenarioConfig) -> tuple[AuditReport, list[int]]:
     rows, resampled, all_in_band = [], [], True
     for index, phi in enumerate(config.phases):
         state = evolve_sender(build_initial(config), phi, config)
-        weight = abs(state.sender_amplitude) ** 2
+        weight = state.sender_weight
         branch_probs = sender_set.probabilities(state.sender_state)
         sender = {label: float(weight * p) for label, p in zip(sender_set.labels, branch_probs)}
         labels, probs = audit.composite_outcomes(state, sender_set)
@@ -55,7 +54,7 @@ def serial_audit(config: ScenarioConfig) -> tuple[AuditReport, list[int]]:
             resampled.append(index)
         rows.append(AuditRow(phi, sender, receiver_probability(state), empirical, config.trials))
     max_deviation = max(abs(row.receiver_analytic - 0.5) for row in rows)
-    passed = max_deviation <= ANALYTIC_TOL and all_in_band
+    passed = all(row.receiver_analytic == 0.5 for row in rows) and all_in_band
     report = AuditReport(
         config.variant, config.seed, tuple(rows), max_deviation, "pass" if passed else "fail"
     )

@@ -16,7 +16,7 @@ STDOUT_SHA256 = {
     "collapse_and_counters": "3ce87f6a1883a2849a04db2e3130a3f4b64381e30241b91ed0d4e5f8cd05f85c",
     "impossible_recombiner": "18e984168f3c37298832f53fdc7059f4442b8051783737d1e991d091a121f67a",
     "interference_profiles": "8748f396a54bd7811101f86425a62c19946b7568281e68442094bc79b70eacf2",
-    "no_signalling_sweep": "d38c78a09e2b5ef43fe4ef919791f596deb66ed2698673b7439144835ecb193f",
+    "no_signalling_sweep": "9bda01c831b4eb8b9dced8ce60ceaba8af5a5afafcac9548cb0b960738c2c517",
 }
 
 

@@ -113,21 +113,21 @@ def _stage_digests(variant: str, seed: int, trials: int) -> dict[str, str]:
 #: ``(variant, seed, trials)``: the reports ``tests/test_cli.py`` pins by sha256.
 STAGE_DIGESTS = {
     ("mach-zehnder", 5, 20000): {
-        "sender": "d9750112624b550feaf1552a72dd6ac5491fa334c957692589a9dba78363275a",
-        "receiver_analytic": "8bd70f6fd320c3e58499c2aa7862111c9d8febabb4b72a6b2179a350d8b8cf23",
-        "cdf_bound": "99adfd19cae46ce0e4a269d8b2673fe1d7557dda40cb0599ccc68ed4718a898a",
+        "sender": "89460459175cfd8c698c4851df179b6eebb84eedc0ea531a127b3fa8868ad386",
+        "receiver_analytic": "dbb049bf95aeb94283c3394699cb80348499f85e127df271486a385b0849b76a",
+        "cdf_bound": "9676721161986c8012ec99791e4a58aaf7cc030efe0eec47e9877d896485ea86",
         "receiver_count": "5d2cab659859808a2cf0f126c24ec4dfac5726eb3d1d31ba03df3f9882c3f52e",
     },
     ("mach-zehnder", 13, 20000): {
-        "sender": "d9750112624b550feaf1552a72dd6ac5491fa334c957692589a9dba78363275a",
-        "receiver_analytic": "8bd70f6fd320c3e58499c2aa7862111c9d8febabb4b72a6b2179a350d8b8cf23",
-        "cdf_bound": "99adfd19cae46ce0e4a269d8b2673fe1d7557dda40cb0599ccc68ed4718a898a",
+        "sender": "89460459175cfd8c698c4851df179b6eebb84eedc0ea531a127b3fa8868ad386",
+        "receiver_analytic": "dbb049bf95aeb94283c3394699cb80348499f85e127df271486a385b0849b76a",
+        "cdf_bound": "9676721161986c8012ec99791e4a58aaf7cc030efe0eec47e9877d896485ea86",
         "receiver_count": "a9f6da178a43b9a5dcbf4e2378c5e7b1e67f97c2a5ee883be607db4a444f6a21",
     },
     ("shiekh-density", 5, 2000): {
-        "sender": "e1f12930368aed2bfb4855917b6b6c1e634be87dcca4519875c082e1bf5acb52",
-        "receiver_analytic": "8bd70f6fd320c3e58499c2aa7862111c9d8febabb4b72a6b2179a350d8b8cf23",
-        "cdf_bound": "205aab36ff7c895f456afd131c3c949911a1891fa52992d5457a0fc215530eff",
+        "sender": "6e8bd956c926513e14bd787e998421151b9bc355fdcd49a40100ca2dd746172b",
+        "receiver_analytic": "dbb049bf95aeb94283c3394699cb80348499f85e127df271486a385b0849b76a",
+        "cdf_bound": "b9a32fa6b69024cb2d7406d9d7311ed4b6fe4120d7b3876a80211f49c47d71d1",
         "receiver_count": "22209cc7ac821c6d94b679944736f8cabeee59293938018cc8e8aae4038faa50",
     },
 }

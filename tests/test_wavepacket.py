@@ -138,10 +138,20 @@ class TestGaussian:
         with pytest.raises(TruncationError):
             gaussian(Grid(-10.0, 10.0, 2048), 8.0)
 
-    def test_packet_between_the_samples_refused(self):
-        # a spacing of 250 packet widths: every sample underflows to 0
-        with pytest.raises(ValueError, match="center=1.5 is not resolved.*spacing 250.0"):
-            gaussian(Grid(-8000.0, 8000.0, 64), 1.5)
+    @pytest.mark.parametrize(
+        "grid, reason",
+        [
+            # a spacing of 250 packet widths: every sample underflows to 0
+            (Grid(-8000.0, 8000.0, 64), "spacing 250.0: every sample underflows"),
+            # 1.25 packet widths: samples survive, but a packet spans a cell or two
+            (Grid(-40.0, 40.0, 64), "spacing 1.25: the spacing is coarser than the packet width"),
+        ],
+        ids=["underflows", "coarser-than-the-width"],
+    )
+    def test_packet_between_the_samples_refused(self, grid, reason):
+        with pytest.raises(ValueError, match=f"center=1.5 is not resolved.*{reason}"):
+            gaussian(grid, 1.5)
+        assert gaussian(Grid(-32.0, 32.0, 64), 1.5).norm == pytest.approx(1.0)  # spacing 1
 
     def test_exponent_past_the_double_range_refused(self):
         # (r - center)**2 overflows at the grid's far samples
