@@ -270,9 +270,9 @@ class AuditReport:
         return {**vars(self), "rows": rows}
 
 
-def binomial_band(trials: int, p: float = 0.5) -> float:
-    """Three binomial standard deviations of a frequency estimate."""
-    return 3.0 * math.sqrt(p * (1.0 - p) / trials)
+def binomial_band(trials: int) -> float:
+    """Three binomial standard deviations of a frequency estimate of 1/2."""
+    return 3.0 * math.sqrt(0.25 / trials)
 
 
 def _usable_cpus() -> int:

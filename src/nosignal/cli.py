@@ -178,8 +178,6 @@ def _convert(name: str, value, kind):
 
 
 def _parse_phi(text: str) -> float:
-    if text == "0":
-        return 0.0
     if text == "pi":
         return math.pi
     try:

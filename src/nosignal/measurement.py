@@ -380,14 +380,14 @@ def count_outcomes(
 
 
 def sample_outcomes(
-    state: State, projector_set: ProjectorSet, seed: int, n_trials: int, stream: int = 0
+    state: State, projector_set: ProjectorSet, seed: int, n_trials: int
 ) -> dict[str, int]:
     """Outcome counts over ``n_trials`` Born-rule samples.
 
-    Trial ``i`` takes draw ``i`` of the stream; one seeded shot is the
+    Trial ``i`` takes draw ``i`` of stream 0; one seeded shot is the
     label that ``n_trials=1`` counts once.
     """
     probs = projector_set.probabilities(state)
-    counts = count_outcomes(probs, seed, n_trials, stream)
+    counts = count_outcomes(probs, seed, n_trials)
     return dict(zip(projector_set.labels, counts))
 

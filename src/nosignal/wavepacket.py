@@ -75,45 +75,36 @@ def gaussian(grid: Grid, center: float) -> State:
     """Real Gaussian packet ``exp(-(r-center)^2 / 4)``, quadrature-normalized.
 
     The squared amplitude is then the standard normal density about
-    ``center``.  Raises :class:`TruncationError` when more than
-    ``TRUNCATION_TOL`` of that probability mass falls outside the grid, and
-    ``ValueError`` when a squared offset ``(r - center)**2`` on the grid
-    leaves the double range, or when the grid spacing is coarser than the
-    packet width 1, so that the grid does not resolve the packet.
+    ``center``.  Two refusals: :class:`TruncationError` when more than
+    ``TRUNCATION_TOL`` of that probability mass falls outside the grid, or
+    the center is NaN; ``ValueError`` when the grid spacing is coarser than
+    the packet width 1, so that the grid does not resolve the packet.
     """
     return State._adopt(grid, _gaussian_samples(grid, center).astype(np.complex128))
 
 
 def _gaussian_samples(grid: Grid, center: float) -> np.ndarray:
-    """The float64 samples of :func:`gaussian`, with its checks and messages."""
+    """The float64 samples of :func:`gaussian`, with its checks and messages.
+
+    Both checks run before any arithmetic on the grid.  Once they pass, the
+    center is finite and at least 4.75 widths inside the grid, and the grid
+    spans at most ``MAX_GRID_POINTS`` widths: no squared offset overflows,
+    and the sample nearest the center does not underflow.
+    """
     outside = _normal_cdf(grid.r_min - center) + _normal_cdf(center - grid.r_max)
-    if outside > TRUNCATION_TOL:
+    if not outside <= TRUNCATION_TOL:  # written so that a NaN center fails it too
         raise TruncationError(
             f"packet at center={center} has mass {outside:.3g} "
             f"outside the grid [{grid.r_min}, {grid.r_max}]"
-        )
-    r = grid.points
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            raw = np.exp(-((r - center) ** 2) / 4)
-    except FloatingPointError:
-        raise ValueError(
-            f"the packet's exponent (r - center)**2 / 4 leaves the double range "
-            f"on the grid [{grid.r_min}, {grid.r_max}]"
-        ) from None
-    scale = math.sqrt(grid.spacing * float(np.add.reduce(raw * raw)))
-    if not (math.isfinite(scale) and scale > 0):
-        # every sample underflowed: the packet falls between the grid's samples
-        raise ValueError(
-            f"packet at center={center} is not resolved by the grid spacing "
-            f"{grid.spacing}: every sample underflows to 0"
         )
     if grid.spacing > 1.0:
         raise ValueError(
             f"packet at center={center} is not resolved by the grid spacing "
             f"{grid.spacing}: the spacing is coarser than the packet width 1"
         )
-    raw /= scale
+    r = grid.points
+    raw = np.exp(-((r - center) ** 2) / 4)
+    raw /= math.sqrt(grid.spacing * float(np.add.reduce(raw * raw)))
     return raw
 
 
@@ -203,9 +194,10 @@ def window_cells(grid: Grid, window: DetectorWindow) -> tuple[int, int]:
     """Resolve a window to the cell range ``[i_lo, i_hi)`` it covers.
 
     Edges snap to the nearest cell edge; a window narrower than one cell
-    may resolve to an empty range.
+    may resolve to an empty range.  An end within half a cell past the grid
+    snaps to the grid's edge; one further out is refused.
     """
-    slack = 0.5 * grid.spacing + 1e-9 * (grid.r_max - grid.r_min)
+    slack = 0.5 * grid.spacing
     if window.lo < grid.r_min - slack or window.hi > grid.r_max + slack:
         raise WindowDomainError(
             f"window [{window.lo}, {window.hi}] reaches outside the grid "

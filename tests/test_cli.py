@@ -535,8 +535,7 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
         (("audit",), {"variant": "mach-zehnder", "trials": MAX_TRIALS + 1}, "trials"),
         (("audit", "--variant", "mach-zehnder", "--phi-sweep", "1000000000000"), None,
          "phase sweep"),
-        # a grid this coarse samples a packet only where it has underflowed to 0:
-        # normalizing it was 0/0
+        # a spacing of 250 packet widths: every sample of a packet would underflow to 0
         (("density", "--r-min", "-8000", "--r-max", "8000", "--points", "64"), None,
          "not resolved by the grid spacing 250.0"),
         (("density", "--r-min", "-8000", "--r-max", "8000", "--points", "64",
@@ -549,9 +548,12 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, argv):
          "not resolved by the grid spacing 4.88162069807176e+150"),
         (("calibrate", "--r-min=-1e154", "--r-max", "1e154"), None,
          "not resolved by the grid spacing 4.88162069807176e+150"),
-        # a squared offset on the grid overflows the packet's exponent
-        (("density", "--r-min=-1e155", "--r-max", "1e155"), None, "leaves the double range"),
-        (("calibrate", "--r-min=-1e155", "--r-max", "1e155"), None, "leaves the double range"),
+        # a squared offset on this grid would overflow the packet's exponent:
+        # the spacing gate refuses the grid before any arithmetic on it
+        (("density", "--r-min=-1e155", "--r-max", "1e155"), None,
+         "not resolved by the grid spacing 4.88162069807176e+151"),
+        (("calibrate", "--r-min=-1e155", "--r-max", "1e155"), None,
+         "not resolved by the grid spacing 4.88162069807176e+151"),
         # a null is a value, refused as one, not an unset setting
         (("audit",), {"variant": "mach-zehnder", "seed": None}, "'seed' must be int, got None"),
         (("density",), {"halfwidth": None}, "'halfwidth' must be float, got None"),

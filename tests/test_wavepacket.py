@@ -6,12 +6,14 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 
 from nosignal import wavepacket
 from nosignal.audit import VARIANT_DENSITY, ScenarioConfig
 from nosignal.measurement import probability, window_projector
 from nosignal.modes import MAX_GRID_POINTS, Grid, State, combine, inner
+from nosignal.tolerances import NORM_TOL, TRUNCATION_TOL
 from nosignal.wavepacket import (
     CALIBRATION_HALFWIDTHS,
     CALIBRATION_SEPARATIONS,
@@ -141,8 +143,9 @@ class TestGaussian:
     @pytest.mark.parametrize(
         "grid, reason",
         [
-            # a spacing of 250 packet widths: every sample underflows to 0
-            (Grid(-8000.0, 8000.0, 64), "spacing 250.0: every sample underflows"),
+            # a spacing of 250 packet widths: refused before any sample could underflow
+            (Grid(-8000.0, 8000.0, 64),
+             "spacing 250.0: the spacing is coarser than the packet width"),
             # 1.25 packet widths: samples survive, but a packet spans a cell or two
             (Grid(-40.0, 40.0, 64), "spacing 1.25: the spacing is coarser than the packet width"),
         ],
@@ -154,9 +157,62 @@ class TestGaussian:
         assert gaussian(Grid(-32.0, 32.0, 64), 1.5).norm == pytest.approx(1.0)  # spacing 1
 
     def test_exponent_past_the_double_range_refused(self):
-        # (r - center)**2 overflows at the grid's far samples
-        with np.errstate(all="raise"), pytest.raises(ValueError, match="leaves the double range"):
+        # (r - center)**2 would overflow at the grid's far samples: the spacing gate runs first
+        with np.errstate(all="raise"), pytest.raises(
+            ValueError, match="coarser than the packet width"
+        ):
             gaussian(Grid(-1e155, 1e155, 64), 0.0)
+
+
+@st.composite
+def resolved_packets(draw):
+    """``(grid, center)``: a spacing of at most 1, a center the truncation gate passes.
+
+    Most grids have at most 4097 cells, one in twenty has the most a grid
+    may have.  The grid's middle is drawn on a log scale out to 1e22; far
+    out, a double cannot hold a spacing of 1 and the draw is dropped.
+    """
+    n = draw(st.integers(0, 19).flatmap(
+        lambda roll: st.just(MAX_GRID_POINTS) if roll == 0 else st.integers(64, 4097)
+    ))
+    h = draw(st.floats(10.0 / n, 1.0))
+    far = st.builds(
+        lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(2.0, 22.0)
+    )
+    offset = draw(st.one_of(st.just(0.0), st.floats(-100.0, 100.0), far))
+    r_min, r_max = offset - n * h / 2, offset + n * h / 2
+    assume(r_min < r_max and (r_max - r_min) / n <= 1.0)
+    margin = draw(st.floats(4.7, 8.0))
+    assume(r_min + margin < r_max - margin)
+    center = draw(st.floats(r_min + margin, r_max - margin))
+    outside = 0.5 * math.erfc((center - r_min) / math.sqrt(2))
+    outside += 0.5 * math.erfc((r_max - center) / math.sqrt(2))
+    assume(outside <= TRUNCATION_TOL)
+    return Grid(r_min, r_max, n), center
+
+
+class TestTwoGates:
+    """The truncation and spacing gates are the only ones a packet needs.
+
+    Past both, no squared offset overflows and the sample nearest the center
+    does not underflow, so the samples are finite and normalize.
+    """
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(resolved_packets())
+    def test_a_resolved_packet_is_finite_and_normalized(self, packet):
+        grid, center = packet
+        # underflow in the tails is expected; nothing may overflow or divide by 0
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            samples = wavepacket._gaussian_samples(grid, center)
+        assert np.isfinite(samples).all()
+        norm = grid.spacing * float(np.add.reduce(samples * samples))
+        assert abs(norm - 1.0) <= NORM_TOL
+
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+    def test_a_center_off_the_reals_is_truncated(self, grid, center):
+        with pytest.raises(TruncationError):
+            gaussian(grid, center)
 
 
 class TestOrthogonalPair:
@@ -309,6 +365,21 @@ class TestWindowProbability:
         with pytest.raises(WindowDomainError):
             _in_window(psi, DetectorWindow(grid.r_min - grid.spacing, 0.0))
         _in_window(psi, DetectorWindow(grid.r_min - 0.25 * grid.spacing, 0.0))
+
+    @pytest.mark.parametrize(
+        "bounds", [(-12.0, 12.0, 4097), (-10.0, 14.0, 1000)], ids=["default", "off-centre-even"]
+    )
+    def test_an_end_half_a_cell_past_the_grid_snaps_to_its_edge(self, bounds):
+        grid = Grid(*bounds)
+        half = 0.5 * grid.spacing
+        lo, hi = grid.r_min - half, grid.r_max + half
+        assert window_cells(grid, DetectorWindow(lo, hi)) == (0, grid.n_points)
+        for window in (
+            DetectorWindow(math.nextafter(lo, -math.inf), hi),
+            DetectorWindow(lo, math.nextafter(hi, math.inf)),
+        ):
+            with pytest.raises(WindowDomainError):
+                window_cells(grid, window)
 
     def test_unnormalized_state_rejected(self, grid):
         psi = gaussian(grid, 0.0)
